@@ -103,6 +103,10 @@ func TestCursorResumeOracle(t *testing.T) {
 							items = append(items, page.Items...)
 						}
 
+						// The fresh run pages through the same cursor
+						// pipeline, so the brute-force oracle keeps a
+						// reference outside it.
+						scoresMatchOracle(t, ds, Min(), total, items)
 						// Byte-identical answers...
 						if !reflect.DeepEqual(items, fresh.Items) {
 							t.Errorf("paged answers diverge from fresh run:\n paged %v\n fresh %v", items, fresh.Items)

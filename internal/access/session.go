@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/obs"
@@ -360,6 +361,14 @@ func (s *Session) CurrentScenario() Scenario {
 	preds := make([]PredCost, len(s.current))
 	copy(preds, s.current)
 	return Scenario{Name: s.scn.Name + "/current", Preds: preds}
+}
+
+// CurrentPredsEqual reports whether the current per-predicate
+// capabilities and costs equal preds (typically an earlier
+// CurrentScenario's Preds): CurrentScenario's change test without its copy.
+func (s *Session) CurrentPredsEqual(preds []PredCost) bool {
+	s.syncBreakers()
+	return slices.Equal(s.current, preds)
 }
 
 // Costs returns the unit costs currently in force for predicate i. With

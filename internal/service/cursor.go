@@ -68,9 +68,6 @@ func (h *Handler) nextCursorID() string {
 // it, and serves the first page (the query's "stop after k" answers).
 // Cursors always carry a trace so any later page may ask for ?trace=1.
 func (h *Handler) openCursor(req QueryRequest, traced bool) (*QueryResponse, int, error) {
-	if req.Parallel > 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("service: cursors are sequential; \"parallel\" applies to one-shot queries")
-	}
 	p, status, err := h.prepare(req, true)
 	if err != nil {
 		return nil, status, err
@@ -198,41 +195,14 @@ func (lc *liveCursor) produce(h *Handler, k int, tau *float64) (*topk.Page, int,
 // cursor's cumulative bill, and — when asked — the cumulative trace tagged
 // with the cursor's identity.
 func (lc *liveCursor) response(h *Handler, page *topk.Page, pageNo int, traced bool) *QueryResponse {
-	resp := &QueryResponse{
-		Query:          lc.query,
-		Cost:           page.Ledger.TotalCost.Units(),
-		Truncated:      page.Truncated,
-		SortedAccesses: page.Ledger.SortedCounts,
-		RandomAccesses: page.Ledger.RandomCounts,
-		Degraded:       page.Degraded,
-		Cursor:         lc.id,
-		Page:           pageNo,
-		Exhausted:      page.Exhausted,
-	}
-	for _, it := range page.Items {
-		resp.Items = append(resp.Items, QueryItem{
-			Object: it.Obj,
-			Label:  lc.label(it.Obj),
-			Score:  it.Score,
-			Exact:  it.Exact,
-		})
-	}
-	if page.Plan != nil {
-		resp.Plan = &PlanPayload{H: page.Plan.H, Omega: page.Plan.Omega}
-	}
+	var snap *obs.TraceSnapshot
 	if traced && lc.tr != nil {
-		snap := lc.tr.Snapshot()
-		snap.Cursor = &obs.CursorTrace{ID: lc.id, Page: pageNo, Emitted: lc.cur.Emitted(), Exhausted: page.Exhausted}
-		resp.Trace = &snap
-		if h.shared != nil {
-			s := h.shared.Stats()
-			resp.Share = &s
-		}
-		if h.cfg.Cluster != nil {
-			cs := h.cfg.Cluster.Stats()
-			resp.Cluster = &cs
-		}
+		s := lc.tr.Snapshot()
+		s.Cursor = &obs.CursorTrace{ID: lc.id, Page: pageNo, Emitted: lc.cur.Emitted(), Exhausted: page.Exhausted}
+		snap = &s
 	}
+	resp := h.respond(lc.query, lc.label, page, snap)
+	resp.Cursor, resp.Page, resp.Exhausted = lc.id, pageNo, page.Exhausted
 	return resp
 }
 

@@ -63,7 +63,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,7 +159,7 @@ type Config struct {
 	// the plan's assumptions and re-plans through the shared plan cache
 	// when sources drift (topk.WithAdaptive). Re-plans surface in /metrics
 	// (topk_replan_total) and ?trace=1 responses. Skipped for explicit
-	// algorithms, parallel, and approximate runs.
+	// algorithms and parallel runs.
 	AdaptivePeriod int
 	// ContractGuard wraps each query's backend with the source contract
 	// guard (topk.WithContractGuard): responses violating the access
@@ -608,7 +607,6 @@ type prepared struct {
 	label func(int) string
 	eng   *topk.Engine
 	opts  []topk.RunOption
-	o     obs.Observer
 	tr    *obs.QueryTrace
 }
 
@@ -711,7 +709,7 @@ func (h *Handler) prepare(req QueryRequest, traced bool) (*prepared, int, error)
 			ocfg.SortedDiscount, ocfg.RandomDiscount = h.shared.Stats().Discounts()
 		}
 		opts = append(opts, topk.WithOptimizer(ocfg))
-		if h.cfg.AdaptivePeriod > 0 && req.Parallel == 0 && req.Epsilon == 0 {
+		if h.cfg.AdaptivePeriod > 0 && req.Parallel == 0 {
 			opts = append(opts, topk.WithAdaptive(h.cfg.AdaptivePeriod))
 		}
 	case alg == "nc":
@@ -732,7 +730,7 @@ func (h *Handler) prepare(req QueryRequest, traced bool) (*prepared, int, error)
 		opts = append(opts, topk.WithParallel(req.Parallel))
 	}
 	o.PhaseDone(obs.PhasePlan, time.Since(planStart))
-	return &prepared{pq: pq, label: label, eng: eng, opts: opts, o: o, tr: tr}, http.StatusOK, nil
+	return &prepared{pq: pq, label: label, eng: eng, opts: opts, tr: tr}, http.StatusOK, nil
 }
 
 // execute runs one query request to completion. The context (the HTTP
@@ -749,45 +747,47 @@ func (h *Handler) execute(ctx context.Context, req QueryRequest, traced bool) (*
 	}
 	ans, err := p.eng.Run(topk.Query{F: p.pq.Func, K: p.pq.K}, append(p.opts, topk.WithContext(ctx))...)
 	if err != nil {
-		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "unknown algorithm") {
-			status = http.StatusBadRequest
-		}
-		return nil, status, err
+		return nil, http.StatusBadRequest, err
 	}
-
-	resp := &QueryResponse{
-		Query:          p.pq.String(),
-		Cost:           ans.TotalCost().Units(),
-		Truncated:      ans.Truncated,
-		SortedAccesses: ans.Ledger.SortedCounts,
-		RandomAccesses: ans.Ledger.RandomCounts,
-		Degraded:       ans.Degraded,
-	}
-	for _, it := range ans.Items {
-		resp.Items = append(resp.Items, QueryItem{
-			Object: it.Obj,
-			Label:  p.label(it.Obj),
-			Score:  it.Score,
-			Exact:  it.Exact,
-		})
-	}
-	if ans.Plan != nil {
-		resp.Plan = &PlanPayload{H: ans.Plan.H, Omega: ans.Plan.Omega}
-	}
+	var snap *obs.TraceSnapshot
 	if p.tr != nil {
-		snap := p.tr.Snapshot()
-		resp.Trace = &snap
-		if h.shared != nil {
-			s := h.shared.Stats()
-			resp.Share = &s
-		}
-		if h.cfg.Cluster != nil {
-			cs := h.cfg.Cluster.Stats()
-			resp.Cluster = &cs
-		}
+		s := p.tr.Snapshot()
+		snap = &s
 	}
-	return resp, http.StatusOK, nil
+	// A one-shot answer is its query's only page.
+	page := topk.Page{Items: ans.Items, Ledger: ans.Ledger, Truncated: ans.Truncated, Degraded: ans.Degraded, Plan: ans.Plan}
+	return h.respond(p.pq.String(), p.label, &page, snap), http.StatusOK, nil
+}
+
+// respond builds the QueryResponse of one page of answers — one-shot and
+// cursor responses alike: labelled items, the plan, and the bill. A trace
+// snapshot, when given, rides along with the service's cumulative sharing
+// and cluster stats.
+func (h *Handler) respond(query string, label func(int) string, page *topk.Page, snap *obs.TraceSnapshot) *QueryResponse {
+	resp := &QueryResponse{
+		Query:          query,
+		Cost:           page.Ledger.TotalCost.Units(),
+		Truncated:      page.Truncated,
+		SortedAccesses: page.Ledger.SortedCounts,
+		RandomAccesses: page.Ledger.RandomCounts,
+		Degraded:       page.Degraded,
+		Trace:          snap,
+	}
+	for _, it := range page.Items {
+		resp.Items = append(resp.Items, QueryItem{Object: it.Obj, Label: label(it.Obj), Score: it.Score, Exact: it.Exact})
+	}
+	if page.Plan != nil {
+		resp.Plan = &PlanPayload{H: page.Plan.H, Omega: page.Plan.Omega}
+	}
+	if snap != nil && h.shared != nil {
+		s := h.shared.Stats()
+		resp.Share = &s
+	}
+	if snap != nil && h.cfg.Cluster != nil {
+		cs := h.cfg.Cluster.Stats()
+		resp.Cluster = &cs
+	}
+	return resp
 }
 
 // PlanCacheHits reports how many queries were answered with a cached plan

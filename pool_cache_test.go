@@ -55,8 +55,10 @@ func TestPooledRunsMatchFreshEngine(t *testing.T) {
 	}
 }
 
-// TestPooledRunsConcurrent exercises the pool under parallel Runs with the
-// race detector; every answer must equal the oracle.
+// TestPooledRunsConcurrent exercises the pool under parallel Runs — and
+// Open cursors interleaved with them, since Run's own cursor lives in the
+// pooled state — with the race detector; every answer must equal the
+// oracle.
 func TestPooledRunsConcurrent(t *testing.T) {
 	ds := mustGenerateDataset(t, "uniform", 300, 2, 23)
 	eng, err := NewEngine(DataBackend(ds), UniformScenario(2, 1, 2))
@@ -64,19 +66,38 @@ func TestPooledRunsConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := TopKOracle(ds, Avg(), 5)
+	q := Query{F: Avg(), K: 5}
+	fixed := WithNC([]float64{0.5, 0.5}, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				ans, err := eng.Run(Query{F: Avg(), K: 5}, WithNC([]float64{0.5, 0.5}, nil))
-				if err != nil {
-					t.Error(err)
-					return
+				var items []Item
+				if (g+i)%2 == 0 {
+					ans, err := eng.Run(q, fixed)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					items = ans.Items
+				} else {
+					cur, err := eng.Open(q, fixed)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					page, err := cur.Next(q.K)
+					cur.Close()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					items = page.Items
 				}
-				if !reflect.DeepEqual(ans.Items, want) {
-					t.Errorf("concurrent pooled run diverged: %+v vs %+v", ans.Items, want)
+				if !reflect.DeepEqual(items, want) {
+					t.Errorf("concurrent pooled run diverged: %+v vs %+v", items, want)
 					return
 				}
 			}

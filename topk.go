@@ -208,7 +208,9 @@ type Answer struct {
 func (a *Answer) TotalCost() Cost { return a.Ledger.TotalCost }
 
 // Engine executes top-k queries against a backend under a cost scenario.
-// An Engine is reusable: every Run opens a fresh access session.
+// An Engine is reusable and safe for concurrent queries: each query draws
+// its access session and framework scratch from the engine's pool, reset
+// before reuse, and returns them when it completes (or its Cursor closes).
 type Engine struct {
 	backend   Backend
 	scn       Scenario
@@ -232,12 +234,15 @@ type Engine struct {
 // queryState is the per-query allocation unit the engine recycles.
 type queryState struct {
 	sess    *access.Session
-	scratch algo.Scratch //topklint:allow resetcomplete re-prepared from the plan by every RunScratch before use
+	scratch algo.Scratch //topklint:allow resetcomplete re-prepared from the plan by every open before use
+	// cur is Run's cursor: Run never hands it out, so it lives in the
+	// pooled state like the scratch's own algo cursor.
+	cur Cursor //topklint:allow resetcomplete overwritten whole by every open before use
 }
 
 // Reset restores recycled state for a new query: the session re-arms its
-// budget and bookkeeping under the new options. The scratch needs no work
-// here — every RunScratch re-prepares it from the plan before use.
+// budget and bookkeeping under the new options. The scratch and cursor
+// need no work here — every open re-prepares them before use.
 func (st *queryState) Reset(sessOpts []access.Option) error {
 	return st.sess.Reset(sessOpts...)
 }
@@ -264,15 +269,21 @@ func (e *Engine) acquire(sessOpts []access.Option) (*queryState, error) {
 	return &queryState{sess: sess}, nil
 }
 
-// optimize resolves a plan through the attached cache, or directly. With
-// a sharing layer attached, the scenario's expected costs are discounted
-// by the layer's observed (quantized) hit rates before planning — shared
-// accesses never reach the sources, so the optimizer should not price
-// them at full cost. Explicit discounts in cfg win.
-func (e *Engine) optimize(cfg OptimizerConfig, scn Scenario, f ScoreFunc, k, n int) (Plan, error) {
+// shareDiscounts applies the attached sharing layer's observed (quantized)
+// hit rates as the optimizer's cost discounts — shared accesses never
+// reach the sources, so plans should not price them at full cost.
+// Explicit discounts in cfg win.
+func (e *Engine) shareDiscounts(cfg OptimizerConfig) OptimizerConfig {
 	if e.share != nil && cfg.SortedDiscount == 0 && cfg.RandomDiscount == 0 {
 		cfg.SortedDiscount, cfg.RandomDiscount = e.share.Stats().Discounts()
 	}
+	return cfg
+}
+
+// optimize resolves a plan through the attached cache, or directly, under
+// the sharing discounts (see shareDiscounts).
+func (e *Engine) optimize(cfg OptimizerConfig, scn Scenario, f ScoreFunc, k, n int) (Plan, error) {
+	cfg = e.shareDiscounts(cfg)
 	if cfg.ClusterKey == "" {
 		cfg.ClusterKey = clusterKeyOf(e.backend)
 	}
@@ -314,18 +325,16 @@ func clusterKeyOf(b Backend) string {
 }
 
 // newAdapter wires the adaptive layer's re-plan loop to this engine:
-// checkpoint re-plans go through optimize — so they get the sharing
-// discounts and hit the plan cache under the observation-extended key —
-// the scenario-change probe watches the live session, and apply installs
-// each new plan on the running execution.
-func (e *Engine) newAdapter(spec *runSpec, sess *access.Session, q Query, o obs.Observer, initial *Plan, apply func(Plan) error) *adapt.Adapter {
-	base := spec.optCfg
-	base.DisableNWG = !e.nwg
-	base.Observer = o
-	lastPreds := snapshotPreds(sess.CurrentScenario())
+// checkpoint re-plans start from the run's completed optimizer config and
+// go through optimize — so they get the sharing discounts and hit the plan
+// cache under the observation-extended key — the scenario-change probe
+// watches the live session, and apply installs each new plan on the
+// running execution (nil apply: telemetry only).
+func (e *Engine) newAdapter(spec *runSpec, sess *access.Session, q Query, initial *Plan, apply func(Plan) error) *adapt.Adapter {
+	lastPreds := sess.CurrentScenario().Preds
 	a := &adapt.Adapter{
 		Mon:  adapt.NewMonitor(adapt.Config{Period: spec.period}),
-		Base: base,
+		Base: spec.optCfg,
 		PlanFunc: func(cfg OptimizerConfig) (Plan, error) {
 			return e.optimize(cfg, sess.CurrentScenario(), q.F, q.K, sess.N())
 		},
@@ -334,20 +343,16 @@ func (e *Engine) newAdapter(spec *runSpec, sess *access.Session, q Query, o obs.
 		// adapter only swaps plans whose modelled advantage clears the
 		// switching cost.
 		EstimateFunc: func(cfg OptimizerConfig, h []float64, omega []int) (access.Cost, error) {
-			if e.share != nil && cfg.SortedDiscount == 0 && cfg.RandomDiscount == 0 {
-				cfg.SortedDiscount, cfg.RandomDiscount = e.share.Stats().Discounts()
-			}
-			return opt.EstimateConfiguration(cfg, sess.CurrentScenario(), q.F, q.K, sess.N(), h, omega)
+			return opt.EstimateConfiguration(e.shareDiscounts(cfg), sess.CurrentScenario(), q.F, q.K, sess.N(), h, omega)
 		},
 		ApplyFunc: apply,
-		Obs:       o,
+		Obs:       spec.observer,
 		Scenario:  sess.CurrentScenario,
 		ScenarioChanged: func() bool {
-			cur := sess.CurrentScenario()
-			if predsEqual(cur.Preds, lastPreds) {
+			if sess.CurrentPredsEqual(lastPreds) {
 				return false
 			}
-			lastPreds = snapshotPreds(cur)
+			lastPreds = sess.CurrentScenario().Preds
 			return true
 		},
 	}
@@ -475,36 +480,102 @@ func (e *Engine) GuardViolations() map[string]int {
 
 // runSpec captures the execution strategy chosen through RunOptions.
 type runSpec struct {
-	algorithm  algo.Algorithm // nil = optimize
-	h          []float64      // fixed NC configuration
-	omega      []int
-	optCfg     OptimizerConfig
-	adaptive   bool
-	period     int
-	parallelB  int
-	liveB      int
-	epsilon    float64
-	budget     float64
-	hasBudget  bool
-	ctx        context.Context
-	observer   obs.Observer
-	trace      bool
-	resilience *access.Resilience
+	algorithm   algo.Algorithm // nil = NC, optimized or fixed by WithNC
+	algErr      error          // WithAlgorithm's unknown-name error
+	h           []float64      // fixed NC configuration
+	omega       []int
+	optCfg      OptimizerConfig
+	adaptive    bool
+	period      int
+	parallelB   int
+	liveB       int
+	epsilon     float64
+	budgetUnits float64
+	hasBudget   bool
+	budget      access.Cost // budgetUnits, converted by check
+	ctx         context.Context
+	observer    obs.Observer
+	trace       bool
+	tr          *obs.QueryTrace // the WithTrace sink, set by newSpec
+	resilience  *access.Resilience
 }
 
-// resolveObserver combines the user observer with the run's trace (when
-// requested) into the single observer threaded through the stack. The
-// returned trace is nil unless WithTrace was set; the observer is nil
-// when nothing is watching, keeping the default path at zero overhead.
-func (r *runSpec) resolveObserver() (obs.Observer, *obs.QueryTrace) {
-	if !r.trace {
-		return r.observer, nil
+// newSpec applies the run options and decides their legality (check),
+// then resolves the run's single observer: the user observer combined with
+// the trace when requested, nil when nothing is watching so the default
+// path pays no instrumentation. The optimizer config is completed with the
+// engine's NWG rule and that observer once, so the plan step, checkpoint
+// re-plans and page-boundary re-plans all start from it.
+func (e *Engine) newSpec(opts []RunOption, cursor bool) (runSpec, error) {
+	var r runSpec
+	for _, o := range opts {
+		o(&r)
 	}
-	tr := obs.NewQueryTrace()
-	if r.observer == nil {
-		return tr, tr
+	if err := r.check(e, cursor); err != nil {
+		return r, err
 	}
-	return obs.Multi(r.observer, tr), tr
+	if r.trace {
+		r.tr = obs.NewQueryTrace()
+		if r.observer == nil {
+			r.observer = r.tr
+		} else {
+			r.observer = obs.Multi(r.observer, r.tr)
+		}
+	}
+	r.optCfg.DisableNWG = !e.nwg
+	r.optCfg.Observer = r.observer
+	return r, nil
+}
+
+// check is the one option rule set shared by Run, Open and the live path.
+// A resumable execution — NC (optimized or WithNC), TA, MPro — accepts
+// exactly the same combinations under Run and Open. With cursor set it
+// also rejects the batch-only modes, which only Run executes: WithParallel,
+// WithLive, and the named baselines without a resumable form.
+func (r *runSpec) check(e *Engine, cursor bool) error {
+	concurrent := r.parallelB > 0 || r.liveB > 0
+	switch {
+	case r.algErr != nil:
+		return r.algErr
+	case r.epsilon < 0:
+		return fmt.Errorf("topk: approximation epsilon must be >= 0, got %g", r.epsilon)
+	case r.epsilon > 0 && (r.algorithm != nil || concurrent):
+		return fmt.Errorf("topk: WithApproximation applies only to sequential NC execution")
+	case r.parallelB > 0 && r.liveB > 0:
+		return fmt.Errorf("topk: WithLive and WithParallel are mutually exclusive")
+	case concurrent && r.algorithm != nil:
+		return fmt.Errorf("topk: WithParallel and WithLive cannot run named baseline algorithms")
+	case concurrent && r.adaptive:
+		return fmt.Errorf("topk: WithParallel and WithLive cannot be combined with WithAdaptive")
+	case r.liveB > 0 && r.resilience != nil:
+		return fmt.Errorf("topk: WithResilience is not compatible with WithLive (the live executor bypasses the session)")
+	case r.liveB > 0 && len(e.shifts) > 0:
+		return fmt.Errorf("topk: live execution does not support simulated cost shifts")
+	case cursor && concurrent:
+		return fmt.Errorf("topk: WithParallel and WithLive are batch-only; Open supports sequential execution")
+	case cursor && !resumable(r.algorithm):
+		return fmt.Errorf("topk: Open supports NC, TA, and MPro; %s is batch-only", r.algorithm.Name())
+	case r.hasBudget && r.budgetUnits <= 0:
+		return fmt.Errorf("topk: budget must be positive, got %g", r.budgetUnits)
+	}
+	if r.hasBudget {
+		budget, err := access.CostFromUnits(r.budgetUnits)
+		if err != nil {
+			return fmt.Errorf("topk: budget: %w", err)
+		}
+		r.budget = budget
+	}
+	return nil
+}
+
+// resumable reports whether an algorithm runs as a cursor: NC (nil), TA,
+// and MPro.
+func resumable(a algo.Algorithm) bool {
+	switch a.(type) {
+	case nil, algo.TA, algo.MPro:
+		return true
+	}
+	return false
 }
 
 func (r *runSpec) context() context.Context {
@@ -514,20 +585,30 @@ func (r *runSpec) context() context.Context {
 	return context.Background()
 }
 
+// executed reports the execute phase that began at start.
+func (r *runSpec) executed(start time.Time) {
+	if r.observer != nil {
+		r.observer.PhaseDone(obs.PhaseExecute, time.Since(start))
+	}
+}
+
+// snapshot returns the trace's current snapshot, nil without a trace.
+func snapshot(tr *obs.QueryTrace) *TraceSnapshot {
+	if tr == nil {
+		return nil
+	}
+	snap := tr.Snapshot()
+	return &snap
+}
+
 // RunOption selects how a query is executed.
 type RunOption func(*runSpec)
 
 // WithAlgorithm runs a named baseline: "FA", "TA", "CA", "NRA", "MPro",
-// "Upper", "Quick-Combine", or "Stream-Combine".
+// "Upper", "Quick-Combine", or "Stream-Combine". TA and MPro are resumable
+// (Run and Open); the others are batch-only and run under Run alone.
 func WithAlgorithm(name string) RunOption {
-	return func(r *runSpec) {
-		alg, err := algo.ByName(name)
-		if err != nil {
-			r.algorithm = errAlgorithm{err}
-			return
-		}
-		r.algorithm = alg
-	}
+	return func(r *runSpec) { r.algorithm, r.algErr = algo.ByName(name) }
 }
 
 // WithNC runs Framework NC with a fixed SR/G configuration: depths h (one
@@ -555,16 +636,20 @@ func WithOptimizer(cfg OptimizerConfig) RunOption {
 // extreme the estimator's sample is flagged stale and the re-plan routes
 // to the statistics-free greedy planner instead. Scenario changes (cost
 // shifts, breaker flips) also trigger checkpoint re-plans, subsuming the
-// earlier costs-only adaptivity. Applies to NC-based execution; on TA
-// cursors the monitor attaches telemetry-only (TA has no plan to change).
+// earlier costs-only adaptivity. Applies to NC-based execution, under Run
+// and Open alike, and composes with WithApproximation; on TA and MPro the
+// monitor attaches telemetry-only (their configuration is not planned).
+// The other named baselines run without it; WithParallel and WithLive
+// reject it.
 func WithAdaptive(period int) RunOption {
 	return func(r *runSpec) { r.adaptive, r.period = true, period }
 }
 
 // WithParallel executes under a bounded-concurrency simulated executor
 // with at most b concurrent accesses. Combines with WithNC or the
-// optimizer (the chosen plan's selector drives dispatch); not compatible
-// with named baselines.
+// optimizer (the chosen plan's selector drives dispatch). Batch-only: Run
+// accepts it, Open rejects it; not compatible with named baselines,
+// WithAdaptive, WithApproximation, or WithLive.
 func WithParallel(b int) RunOption {
 	return func(r *runSpec) { r.parallelB = b }
 }
@@ -572,7 +657,9 @@ func WithParallel(b int) RunOption {
 // WithLive executes with real concurrent backend requests (goroutines)
 // bounded by b — for engines whose backend is a live source such as the
 // HTTP web-source client. The answer's Wall field reports measured time.
-// Not compatible with named baselines, WithAdaptive, or cost shifts.
+// Batch-only: Run accepts it, Open rejects it; not compatible with named
+// baselines, WithAdaptive, WithApproximation, WithParallel,
+// WithResilience, or engine cost shifts.
 func WithLive(b int) RunOption {
 	return func(r *runSpec) { r.liveB = b }
 }
@@ -582,7 +669,7 @@ func WithLive(b int) RunOption {
 // best current candidates and Truncated is set. Named baselines are not
 // anytime and fail once the budget is hit.
 func WithBudget(units float64) RunOption {
-	return func(r *runSpec) { r.budget, r.hasBudget = units, true }
+	return func(r *runSpec) { r.budgetUnits, r.hasBudget = units, true }
 }
 
 // WithContext bounds the run with a context: cancelling it aborts the
@@ -629,38 +716,84 @@ func WithResilience(r *Resilience) RunOption {
 // returned object u is guaranteed (1+epsilon)*F(u) >= F(v) for every
 // object v left out, usually at a fraction of the exact cost.
 // Approximately-emitted items carry Exact=false and their final lower
-// bound as Score. Applies to NC-based execution (default, WithNC).
+// bound as Score. Applies to sequential NC-based execution (default,
+// WithNC, with or without WithAdaptive), under Run and Open alike; named
+// baselines and the concurrent executors reject it.
 func WithApproximation(epsilon float64) RunOption {
 	return func(r *runSpec) { r.epsilon = epsilon }
 }
 
-type errAlgorithm struct{ err error }
-
-func (e errAlgorithm) Name() string                            { return "error" }
-func (e errAlgorithm) Run(*algo.Problem) (*algo.Result, error) { return nil, e.err }
-
 // Run executes a query. By default it runs the full cost-based pipeline:
 // optimize an SR/G configuration for this engine's scenario (HClimb over a
 // dummy sample unless configured otherwise), then execute Framework NC
-// with it.
+// with it. Every resumable execution (NC, TA, MPro) is literally Open,
+// Next(q.K), Close — the answer is the cursor's first page — so Run and
+// Open accept the same options. Only the batch-only modes run outside the
+// cursor: the other named baselines, WithParallel, and WithLive.
 func (e *Engine) Run(q Query, opts ...RunOption) (*Answer, error) {
-	var spec runSpec
-	for _, o := range opts {
-		o(&spec)
+	spec, err := e.newSpec(opts, false)
+	if err != nil {
+		return nil, err
 	}
-	if spec.epsilon < 0 {
-		return nil, fmt.Errorf("topk: approximation epsilon must be >= 0, got %g", spec.epsilon)
+	switch {
+	case spec.liveB > 0:
+		return e.runLive(q, &spec)
+	case spec.parallelB > 0 || !resumable(spec.algorithm):
+		return e.runBatch(q, &spec)
 	}
-	if spec.epsilon > 0 && (spec.algorithm != nil || spec.adaptive || spec.parallelB > 0 || spec.liveB > 0) {
-		return nil, fmt.Errorf("topk: WithApproximation applies only to sequential NC execution")
+	c, err := e.open(q, &spec, true)
+	if err != nil {
+		return nil, err
 	}
-	if spec.liveB > 0 {
-		if spec.resilience != nil {
-			return nil, fmt.Errorf("topk: WithResilience is not compatible with WithLive (the live executor bypasses the session)")
+	defer c.Close()
+	res, err := c.next(q.K)
+	spec.executed(c.execStart)
+	if err != nil {
+		return nil, err
+	}
+	return &Answer{Items: res.Items, Ledger: res.Ledger, Plan: c.plan, Truncated: res.Truncated,
+		Degraded: res.Degraded, Trace: snapshot(c.tr)}, nil
+}
+
+// runBatch executes the session-based batch-only modes over the same begin
+// and plan steps as the cursor pipeline: WithParallel's simulated
+// concurrent executor, and the named baselines without a resumable form.
+func (e *Engine) runBatch(q Query, spec *runSpec) (*Answer, error) {
+	st, prob, err := e.begin(q, spec)
+	if err != nil {
+		return nil, err
+	}
+	defer e.pool.Put(st)
+	ans := &Answer{}
+	if spec.parallelB > 0 {
+		sel, plan, err := e.plan(q, spec, st.sess.CurrentScenario(), st.sess.N())
+		if err != nil {
+			return nil, err
 		}
-		return e.runLive(q, spec)
+		start := time.Now()
+		res, err := (&parallel.Executor{B: spec.parallelB, Sel: sel, Obs: spec.observer}).Run(spec.context(), prob)
+		spec.executed(start)
+		if err != nil {
+			return nil, err
+		}
+		ans.Items, ans.Ledger, ans.Elapsed, ans.Plan = res.Items, res.Ledger, res.Elapsed, plan
+	} else {
+		start := time.Now()
+		res, err := spec.algorithm.Run(prob)
+		spec.executed(start)
+		if err != nil {
+			return nil, err
+		}
+		ans.Items, ans.Ledger, ans.Truncated, ans.Degraded = res.Items, res.Ledger, res.Truncated, res.Degraded
 	}
-	o, tr := spec.resolveObserver()
+	ans.Trace = snapshot(spec.tr)
+	return ans, nil
+}
+
+// begin starts a session-based query: it assembles the session options,
+// acquires the pooled queryState and builds the problem over its session.
+// The caller returns the state to the pool.
+func (e *Engine) begin(q Query, spec *runSpec) (*queryState, *algo.Problem, error) {
 	var sessOpts []access.Option
 	if !e.nwg {
 		sessOpts = append(sessOpts, access.WithoutNoWildGuesses())
@@ -672,145 +805,46 @@ func (e *Engine) Run(q Query, opts ...RunOption) (*Answer, error) {
 		sessOpts = append(sessOpts, access.WithResilience(spec.resilience))
 	}
 	if spec.hasBudget {
-		if spec.budget <= 0 {
-			return nil, fmt.Errorf("topk: budget must be positive, got %g", spec.budget)
-		}
-		budget, berr := access.CostFromUnits(spec.budget)
-		if berr != nil {
-			return nil, fmt.Errorf("topk: budget: %w", berr)
-		}
-		sessOpts = append(sessOpts, access.WithBudget(budget))
+		sessOpts = append(sessOpts, access.WithBudget(spec.budget))
 	}
 	if spec.ctx != nil {
 		sessOpts = append(sessOpts, access.WithContext(spec.ctx))
 	}
-	if o != nil {
-		sessOpts = append(sessOpts, access.WithObserver(o))
+	if spec.observer != nil {
+		sessOpts = append(sessOpts, access.WithObserver(spec.observer))
 	}
-	// Sequential runs draw their session and framework scratch from the
-	// engine's pool; the concurrent executor manages its own lifecycle, so
-	// its session stays unpooled.
-	var (
-		sess *access.Session
-		st   *queryState
-	)
-	if spec.parallelB == 0 {
-		var aerr error
-		if st, aerr = e.acquire(sessOpts); aerr != nil {
-			return nil, aerr
-		}
-		sess = st.sess
-		defer e.pool.Put(st)
-	} else {
-		var serr error
-		if sess, serr = access.NewSession(e.backend, e.scn, sessOpts...); serr != nil {
-			return nil, serr
-		}
-	}
-	prob, err := algo.NewProblem(q.F, q.K, sess)
+	st, err := e.acquire(sessOpts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	prob, err := algo.NewProblem(q.F, q.K, st.sess)
+	if err != nil {
+		e.pool.Put(st)
+		return nil, nil, err
+	}
+	return st, prob, nil
+}
 
-	ans := &Answer{}
-	attachTrace := func() {
-		if tr != nil {
-			snap := tr.Snapshot()
-			ans.Trace = &snap
-		}
-	}
-
-	// Resolve the SR/G configuration when one is needed (fixed, optimized,
-	// or none for named baselines).
-	needPlan := spec.algorithm == nil && spec.h == nil
-	if spec.parallelB > 0 && spec.algorithm != nil {
-		return nil, fmt.Errorf("topk: WithParallel cannot run named baseline algorithms")
-	}
-	var h []float64
-	var omega []int
+// plan is the query's one plan step: it resolves the SR/G selector from
+// WithNC's fixed configuration, or else optimizes one for scenario scn —
+// timed as PhaseOptimize — and returns the plan with it (nil under
+// WithNC). Checkpoint and page-boundary re-plans call optimize directly:
+// they are not phases of the query.
+func (e *Engine) plan(q Query, spec *runSpec, scn Scenario, n int) (*algo.SRG, *Plan, error) {
 	if spec.h != nil {
-		h, omega = spec.h, spec.omega
-	} else if needPlan {
-		cfg := spec.optCfg
-		cfg.DisableNWG = !e.nwg
-		cfg.Observer = o
-		optStart := time.Now()
-		plan, err := e.optimize(cfg, sess.CurrentScenario(), q.F, q.K, sess.N())
-		if o != nil {
-			o.PhaseDone(obs.PhaseOptimize, time.Since(optStart))
-		}
-		if err != nil {
-			return nil, err
-		}
-		ans.Plan = &plan
-		h, omega = plan.H, plan.Omega
+		sel, err := algo.NewSRG(spec.h, spec.omega)
+		return sel, nil, err
 	}
-
-	execStart := time.Now()
-	execDone := func() {
-		if o != nil {
-			o.PhaseDone(obs.PhaseExecute, time.Since(execStart))
-		}
+	start := time.Now()
+	p, err := e.optimize(spec.optCfg, scn, q.F, q.K, n)
+	if spec.observer != nil {
+		spec.observer.PhaseDone(obs.PhaseOptimize, time.Since(start))
 	}
-
-	if spec.parallelB > 0 {
-		if spec.adaptive {
-			return nil, fmt.Errorf("topk: WithParallel cannot be combined with WithAdaptive")
-		}
-		sel, err := algo.NewSRG(h, omega)
-		if err != nil {
-			return nil, err
-		}
-		res, err := (&parallel.Executor{B: spec.parallelB, Sel: sel, Obs: o}).Run(spec.context(), prob)
-		execDone()
-		if err != nil {
-			return nil, err
-		}
-		ans.Items, ans.Ledger, ans.Elapsed = res.Items, res.Ledger, res.Elapsed
-		attachTrace()
-		return ans, nil
-	}
-
-	var alg algo.Algorithm
-	switch {
-	case spec.algorithm != nil:
-		alg = spec.algorithm
-	case spec.adaptive:
-		sel, serr := algo.NewSRG(h, omega)
-		if serr != nil {
-			return nil, serr
-		}
-		nc := &algo.NC{Sel: sel, Obs: o}
-		nc.Monitor = e.newAdapter(&spec, sess, q, o, ans.Plan, func(p Plan) error {
-			s2, aerr := algo.NewSRG(p.H, p.Omega)
-			if aerr != nil {
-				return aerr
-			}
-			nc.Sel = s2
-			ans.Plan = &p
-			return nil
-		})
-		alg = nc
-	default:
-		sel, serr := algo.NewSRG(h, omega)
-		if serr != nil {
-			return nil, serr
-		}
-		alg = &algo.NC{Sel: sel, Epsilon: spec.epsilon, Obs: o}
-	}
-	var res *algo.Result
-	if nc, ok := alg.(*algo.NC); ok && st != nil {
-		res, err = nc.RunScratch(prob, &st.scratch)
-	} else {
-		res, err = alg.Run(prob)
-	}
-	execDone()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	ans.Items, ans.Ledger, ans.Truncated, ans.Degraded = res.Items, res.Ledger, res.Truncated, res.Degraded
-	attachTrace()
-	return ans, nil
+	sel, err := algo.NewSRG(p.H, p.Omega)
+	return sel, &p, err
 }
 
 // ErrCursorClosed reports a page request on a closed cursor.
@@ -863,107 +897,82 @@ type Cursor struct {
 	// the scenario and so re-keys automatically.
 	planned bool
 	planScn []PredCost
-	optCfg  OptimizerConfig
+	optCfg  OptimizerConfig // completed by newSpec
 	plan    *Plan
 
 	obsv   Observer
 	tr     *obs.QueryTrace
 	closed bool
+	// execStart ends the plan step (set only when observed): Run's
+	// PhaseExecute spans the execution's set-up and its one page.
+	execStart time.Time
 }
 
 // Open suspends a query as a resumable cursor: the first Next(k) performs
 // exactly the accesses Run with K=k would, and each further Next(delta)
 // deepens to k+delta at only the marginal cost. The query's K sizes the
 // optimizer's plan (how deep the configuration expects to go); paging may
-// run past it. Supported options: WithNC, WithOptimizer, WithAdaptive
-// (checkpoint re-plans on NC-shaped cursors; telemetry-only on TA/MPro),
-// WithAlgorithm ("TA", "MPro"), WithApproximation, WithBudget,
-// WithResilience, WithObserver, WithTrace, WithContext (rebind per page
-// with Bind); the concurrent executors and other named baselines are
-// batch-only.
+// run past it. Open accepts exactly the options Run accepts for a
+// resumable execution — NC (default or WithNC, with WithOptimizer,
+// WithAdaptive and WithApproximation), WithAlgorithm("TA") and ("MPro"),
+// WithBudget, WithResilience, WithObserver, WithTrace, and WithContext
+// (rebind per page with Bind) — and rejects the batch-only modes:
+// WithParallel, WithLive, and the other named baselines.
 func (e *Engine) Open(q Query, opts ...RunOption) (*Cursor, error) {
-	var spec runSpec
-	for _, o := range opts {
-		o(&spec)
-	}
-	if spec.parallelB > 0 || spec.liveB > 0 {
-		return nil, fmt.Errorf("topk: Open supports only sequential execution (NC, TA, MPro)")
-	}
-	if spec.epsilon < 0 {
-		return nil, fmt.Errorf("topk: approximation epsilon must be >= 0, got %g", spec.epsilon)
-	}
-	if spec.epsilon > 0 && spec.algorithm != nil {
-		return nil, fmt.Errorf("topk: WithApproximation applies only to NC-based cursors")
-	}
-	o, tr := spec.resolveObserver()
-	var sessOpts []access.Option
-	if !e.nwg {
-		sessOpts = append(sessOpts, access.WithoutNoWildGuesses())
-	}
-	if len(e.shifts) > 0 {
-		sessOpts = append(sessOpts, access.WithShifts(e.shifts...))
-	}
-	if spec.resilience != nil {
-		sessOpts = append(sessOpts, access.WithResilience(spec.resilience))
-	}
-	if spec.hasBudget {
-		if spec.budget <= 0 {
-			return nil, fmt.Errorf("topk: budget must be positive, got %g", spec.budget)
-		}
-		budget, berr := access.CostFromUnits(spec.budget)
-		if berr != nil {
-			return nil, fmt.Errorf("topk: budget: %w", berr)
-		}
-		sessOpts = append(sessOpts, access.WithBudget(budget))
-	}
-	if spec.ctx != nil {
-		sessOpts = append(sessOpts, access.WithContext(spec.ctx))
-	}
-	if o != nil {
-		sessOpts = append(sessOpts, access.WithObserver(o))
-	}
-	st, err := e.acquire(sessOpts)
+	spec, err := e.newSpec(opts, true)
 	if err != nil {
 		return nil, err
 	}
-	sess := st.sess
-	fail := func(err error) (*Cursor, error) {
+	return e.open(q, &spec, false)
+}
+
+// open is the one sequential query pipeline behind Run and Open: begin,
+// the plan step, and the resumable execution suspended before its first
+// access. pooled places the cursor inside the pooled query state — Run's
+// private cursor — instead of allocating one to hand out.
+func (e *Engine) open(q Query, spec *runSpec, pooled bool) (*Cursor, error) {
+	st, prob, err := e.begin(q, spec)
+	if err != nil {
+		return nil, err
+	}
+	c := &st.cur
+	if !pooled {
+		c = new(Cursor)
+	}
+	// planScn's buffer survives in pooled cursors.
+	*c = Cursor{eng: e, sess: st.sess, st: st, q: q, planScn: c.planScn[:0], optCfg: spec.optCfg, obsv: spec.observer, tr: spec.tr}
+	if err := c.start(prob, spec); err != nil {
 		e.pool.Put(st)
 		return nil, err
 	}
-	prob, err := algo.NewProblem(q.F, q.K, sess)
-	if err != nil {
-		return fail(err)
+	return c, nil
+}
+
+// start plans the query (NC only) and opens the algorithm's pager.
+func (c *Cursor) start(prob *algo.Problem, spec *runSpec) error {
+	e, sess := c.eng, c.sess
+	var sel *algo.SRG
+	if spec.algorithm == nil {
+		var scn Scenario // planned against; WithNC plans nothing
+		if spec.h == nil {
+			scn = sess.CurrentScenario()
+		}
+		var err error
+		if sel, c.plan, err = e.plan(c.q, spec, scn, sess.N()); err != nil {
+			return err
+		}
+		c.planned = c.plan != nil
+		c.planScn = append(c.planScn, scn.Preds...)
 	}
-	c := &Cursor{eng: e, sess: sess, st: st, q: q, optCfg: spec.optCfg, obsv: o, tr: tr}
+	if c.obsv != nil {
+		c.execStart = time.Now()
+	}
 	switch alg := spec.algorithm.(type) {
 	case nil:
-		h, omega := spec.h, spec.omega
-		if h == nil {
-			cfg := spec.optCfg
-			cfg.DisableNWG = !e.nwg
-			cfg.Observer = o
-			optStart := time.Now()
-			plan, perr := e.optimize(cfg, sess.CurrentScenario(), q.F, q.K, sess.N())
-			if o != nil {
-				o.PhaseDone(obs.PhaseOptimize, time.Since(optStart))
-			}
-			if perr != nil {
-				return fail(perr)
-			}
-			c.plan = &plan
-			c.planned = true
-			c.planScn = snapshotPreds(sess.CurrentScenario())
-			h, omega = plan.H, plan.Omega
-		}
-		sel, serr := algo.NewSRG(h, omega)
-		if serr != nil {
-			return fail(serr)
-		}
-		ncAlg := &algo.NC{Sel: sel, Epsilon: spec.epsilon, Obs: o}
-		cur, cerr := ncAlg.Open(prob, &st.scratch)
-		if cerr != nil {
-			return fail(cerr)
+		nc := &algo.NC{Sel: sel, Epsilon: spec.epsilon, Obs: c.obsv}
+		cur, err := nc.Open(prob, &c.st.scratch)
+		if err != nil {
+			return err
 		}
 		c.nc, c.pager = cur, cur
 		if spec.adaptive {
@@ -971,47 +980,43 @@ func (e *Engine) Open(q Query, opts ...RunOption) (*Cursor, error) {
 			// place (all paid-for state carries over) and re-anchor the
 			// page-boundary scenario snapshot so one change is not
 			// re-planned twice.
-			ncAlg.Monitor = e.newAdapter(&spec, sess, q, o, c.plan, func(p Plan) error {
-				s2, aerr := algo.NewSRG(p.H, p.Omega)
-				if aerr != nil {
-					return aerr
+			nc.Monitor = e.newAdapter(spec, sess, c.q, c.plan, func(p Plan) error {
+				s2, err := algo.NewSRG(p.H, p.Omega)
+				if err != nil {
+					return err
 				}
-				if serr := cur.SetSelector(s2); serr != nil {
-					return serr
+				if err := cur.SetSelector(s2); err != nil {
+					return err
 				}
 				c.plan = &p
-				c.planScn = snapshotPreds(sess.CurrentScenario())
+				c.planScn = append(c.planScn[:0], sess.CurrentScenario().Preds...)
 				return nil
 			})
 		}
 	case algo.TA:
-		cur, cerr := algo.TA{}.Open(prob)
-		if cerr != nil {
-			return fail(cerr)
+		cur, err := alg.Open(prob)
+		if err != nil {
+			return err
 		}
 		c.pager = cur
 		if spec.adaptive {
 			// TA has no plan degrees of freedom: the monitor attaches
 			// telemetry-only (divergence checkpoints, no re-plans).
-			cur.Monitor = e.newAdapter(&spec, sess, q, o, nil, nil)
+			cur.Monitor = e.newAdapter(spec, sess, c.q, nil, nil)
 		}
 	case algo.MPro:
 		if spec.adaptive {
 			// MPro's configuration is derived from the scenario, not
 			// planned: telemetry-only, like TA.
-			alg.Monitor = e.newAdapter(&spec, sess, q, o, nil, nil)
+			alg.Monitor = e.newAdapter(spec, sess, c.q, nil, nil)
 		}
-		cur, cerr := alg.Open(prob, &st.scratch)
-		if cerr != nil {
-			return fail(cerr)
+		cur, err := alg.Open(prob, &c.st.scratch)
+		if err != nil {
+			return err
 		}
 		c.nc, c.pager = cur, cur
-	case errAlgorithm:
-		return fail(alg.err)
-	default:
-		return fail(fmt.Errorf("topk: Open supports NC, TA, and MPro; %s is batch-only", alg.Name()))
 	}
-	return c, nil
+	return nil
 }
 
 // Next deepens the query by delta answers: the cursor resumes where the
@@ -1024,15 +1029,17 @@ func (e *Engine) Open(q Query, opts ...RunOption) (*Cursor, error) {
 func (c *Cursor) Next(delta int) (*Page, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.page(c.next(delta))
+}
+
+// next produces one ordinal page as the algorithm's Result: Next wraps it
+// as a Page, Run as an Answer.
+func (c *Cursor) next(delta int) (*algo.Result, error) {
 	if c.closed {
 		return nil, algo.ErrCursorClosed
 	}
 	c.replan()
-	res, err := c.pager.Next(delta)
-	if err != nil {
-		return nil, err
-	}
-	return c.page(res), nil
+	return c.pager.Next(delta)
 }
 
 // NextUntil is score-range paging: it emits every remaining answer
@@ -1051,33 +1058,23 @@ func (c *Cursor) NextUntil(tau float64) (*Page, error) {
 		return nil, fmt.Errorf("topk: score-range paging requires an NC-based cursor (default, WithNC, or MPro)")
 	}
 	c.replan()
-	res, err := c.nc.NextUntil(tau)
-	if err != nil {
-		return nil, err
-	}
-	return c.page(res), nil
+	return c.page(c.nc.NextUntil(tau))
 }
 
 // replan re-optimizes the SR/G configuration when the access scenario
-// changed since the plan was made (PR 3's mid-query scenario-change
+// changed since the plan was made (the mid-query scenario-change
 // machinery, applied at page boundaries). The preserved score state stays
 // valid — which access to perform next is pure policy — so the cursor
 // continues under the new plan without repeating work. A scenario that can
 // no longer be planned keeps the old selector; the framework's own
 // degradation absorbs it.
 func (c *Cursor) replan() {
-	if c.nc == nil || !c.planned {
+	if c.nc == nil || !c.planned || c.sess.CurrentPredsEqual(c.planScn) {
 		return
 	}
 	cur := c.sess.CurrentScenario()
-	if predsEqual(cur.Preds, c.planScn) {
-		return
-	}
-	c.planScn = snapshotPreds(cur)
-	cfg := c.optCfg
-	cfg.DisableNWG = !c.eng.nwg
-	cfg.Observer = c.obsv
-	plan, err := c.eng.optimize(cfg, cur, c.q.F, c.q.K, c.sess.N())
+	c.planScn = append(c.planScn[:0], cur.Preds...)
+	plan, err := c.eng.optimize(c.optCfg, cur, c.q.F, c.q.K, c.sess.N())
 	if err != nil {
 		return
 	}
@@ -1090,7 +1087,10 @@ func (c *Cursor) replan() {
 }
 
 // page assembles the public Page from an algo page.
-func (c *Cursor) page(res *algo.Result) *Page {
+func (c *Cursor) page(res *algo.Result, err error) (*Page, error) {
+	if err != nil {
+		return nil, err
+	}
 	return &Page{
 		Items:     res.Items,
 		Ledger:    res.Ledger,
@@ -1098,7 +1098,7 @@ func (c *Cursor) page(res *algo.Result) *Page {
 		Degraded:  res.Degraded,
 		Exhausted: c.pager.Exhausted(),
 		Plan:      c.plan,
-	}
+	}, nil
 }
 
 // Bind re-points the cursor's context for subsequent pages: each page of
@@ -1152,48 +1152,26 @@ func (c *Cursor) Plan() *Plan {
 // Trace snapshots the cursor's cumulative execution trace (nil unless
 // opened with WithTrace). Successive snapshots grow with each page; the
 // access counts always match the cumulative Ledger.
-func (c *Cursor) Trace() *TraceSnapshot {
-	if c.tr == nil {
-		return nil
-	}
-	snap := c.tr.Snapshot()
-	return &snap
-}
+func (c *Cursor) Trace() *TraceSnapshot { return snapshot(c.tr) }
 
 // Close ends the execution and returns the cursor's pooled state (session
 // and framework scratch) to the engine. Idempotent; pages after Close fail
 // with algo.ErrCursorClosed.
 func (c *Cursor) Close() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return nil
 	}
 	c.closed = true
 	c.pager.Close()
-	if c.st != nil {
-		st := c.st
-		c.st = nil
-		c.eng.pool.Put(st)
-	}
+	e, st := c.eng, c.st
+	c.st = nil
+	c.mu.Unlock()
+	// Repool only after unlocking: Run's cursor lives inside st, so once
+	// st is back in the pool another query may reuse this very Cursor.
+	e.pool.Put(st)
 	return nil
-}
-
-// snapshotPreds copies a scenario's per-predicate capability/cost entries
-// for later change detection.
-func snapshotPreds(scn Scenario) []PredCost { return append([]PredCost(nil), scn.Preds...) }
-
-// predsEqual reports whether two capability/cost snapshots are identical.
-func predsEqual(a, b []PredCost) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Explain runs the cost-based optimizer for a query without executing it:
@@ -1211,57 +1189,22 @@ func (e *Engine) Explain(q Query, cfg OptimizerConfig) (Plan, error) {
 	return opt.Optimize(cfg, e.scn, q.F, q.K, e.backend.N())
 }
 
-// runLive executes the query with real concurrent backend requests.
-func (e *Engine) runLive(q Query, spec runSpec) (*Answer, error) {
-	if spec.algorithm != nil {
-		return nil, fmt.Errorf("topk: WithLive cannot run named baseline algorithms")
-	}
-	if spec.adaptive {
-		return nil, fmt.Errorf("topk: WithLive cannot be combined with WithAdaptive")
-	}
-	if spec.parallelB > 0 {
-		return nil, fmt.Errorf("topk: WithLive and WithParallel are mutually exclusive")
-	}
-	if len(e.shifts) > 0 {
-		return nil, fmt.Errorf("topk: live execution does not support simulated cost shifts")
-	}
-	o, tr := spec.resolveObserver()
-	ans := &Answer{}
-	h, omega := spec.h, spec.omega
-	if h == nil {
-		cfg := spec.optCfg
-		cfg.DisableNWG = !e.nwg
-		cfg.Observer = o
-		optStart := time.Now()
-		plan, err := e.optimize(cfg, e.scn, q.F, q.K, e.backend.N())
-		if o != nil {
-			o.PhaseDone(obs.PhaseOptimize, time.Since(optStart))
-		}
-		if err != nil {
-			return nil, err
-		}
-		ans.Plan = &plan
-		h, omega = plan.H, plan.Omega
-	}
-	sel, err := algo.NewSRG(h, omega)
+// runLive executes the query with real concurrent backend requests: the
+// plan step, then the live executor (which keeps its own bookkeeping
+// instead of a session).
+func (e *Engine) runLive(q Query, spec *runSpec) (*Answer, error) {
+	sel, plan, err := e.plan(q, spec, e.scn, e.backend.N())
 	if err != nil {
 		return nil, err
 	}
-	live := &parallel.Live{B: spec.liveB, Sel: sel, Scn: e.scn, DisableNWG: !e.nwg, Obs: o}
-	execStart := time.Now()
+	live := &parallel.Live{B: spec.liveB, Sel: sel, Scn: e.scn, DisableNWG: !e.nwg, Obs: spec.observer}
+	start := time.Now()
 	res, err := live.Run(spec.context(), e.backend, q.F, q.K)
-	if o != nil {
-		o.PhaseDone(obs.PhaseExecute, time.Since(execStart))
-	}
+	spec.executed(start)
 	if err != nil {
 		return nil, err
 	}
-	ans.Items, ans.Ledger, ans.Wall = res.Items, res.Ledger, res.Wall
-	if tr != nil {
-		snap := tr.Snapshot()
-		ans.Trace = &snap
-	}
-	return ans, nil
+	return &Answer{Items: res.Items, Ledger: res.Ledger, Plan: plan, Wall: res.Wall, Trace: snapshot(spec.tr)}, nil
 }
 
 // TopKOracle computes the exact answer by brute force over a dataset —

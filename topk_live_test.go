@@ -1,7 +1,11 @@
 package topk
 
 import (
+	"reflect"
 	"testing"
+
+	"repro/internal/adapt"
+	"repro/internal/algo"
 )
 
 func TestEngineLiveRun(t *testing.T) {
@@ -206,4 +210,118 @@ func TestEngineOpenCursor(t *testing.T) {
 	if err := cur2.Close(); err != nil {
 		t.Errorf("Close should be idempotent, got %v", err)
 	}
+}
+
+// TestRunOpenOptionRules pins the one option rule set behind Run and Open:
+// every resumable combination is accepted or rejected by both alike; only
+// the batch-only modes (WithParallel, WithLive, baselines other than TA
+// and MPro) split them — Run decides those, Open always refuses.
+func TestRunOpenOptionRules(t *testing.T) {
+	ds := exampleDataset(t)
+	eng, err := NewEngine(DataBackend(ds), UniformScenario(2, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := WithNC([]float64{0.5, 0.5}, nil)
+	res := WithResilience(&Resilience{Breakers: NewBreakerSet(2, BreakerConfig{})})
+	cases := []struct {
+		name      string
+		opts      []RunOption
+		batchOnly bool // Run decides; Open must refuse
+		runOK     bool
+	}{
+		{"default", nil, false, true},
+		{"fixed", []RunOption{fixed}, false, true},
+		{"adaptive", []RunOption{WithAdaptive(5)}, false, true},
+		{"adaptive+approximation", []RunOption{WithAdaptive(5), WithApproximation(0.2)}, false, true},
+		{"fixed+adaptive+approximation", []RunOption{fixed, WithAdaptive(5), WithApproximation(0.2)}, false, true},
+		{"approximation", []RunOption{WithApproximation(0.2)}, false, true},
+		{"negative epsilon", []RunOption{WithApproximation(-1)}, false, false},
+		{"budget", []RunOption{WithBudget(50)}, false, true},
+		{"non-positive budget", []RunOption{WithBudget(0)}, false, false},
+		{"resilience+trace", []RunOption{res, WithTrace(), WithObserver(NewMetricsObserver(NewMetricsRegistry()))}, false, true},
+		{"TA", []RunOption{WithAlgorithm("TA")}, false, true},
+		{"TA+adaptive", []RunOption{WithAlgorithm("TA"), WithAdaptive(5)}, false, true},
+		{"TA+approximation", []RunOption{WithAlgorithm("TA"), WithApproximation(0.2)}, false, false},
+		{"MPro+adaptive", []RunOption{WithAlgorithm("MPro"), WithAdaptive(5)}, false, true},
+		{"MPro+approximation", []RunOption{WithAlgorithm("MPro"), WithApproximation(0.2)}, false, false},
+		{"unknown algorithm", []RunOption{WithAlgorithm("bogus")}, false, false},
+		{"FA", []RunOption{WithAlgorithm("FA")}, true, true},
+		{"NRA+budget", []RunOption{WithAlgorithm("NRA"), WithBudget(1000)}, true, true},
+		{"CA+approximation", []RunOption{WithAlgorithm("CA"), WithApproximation(0.2)}, true, false},
+		{"parallel", []RunOption{WithParallel(2)}, true, true},
+		{"parallel+fixed", []RunOption{WithParallel(2), fixed}, true, true},
+		{"parallel+adaptive", []RunOption{WithParallel(2), WithAdaptive(5)}, true, false},
+		{"parallel+approximation", []RunOption{WithParallel(2), WithApproximation(0.2)}, true, false},
+		{"parallel+TA", []RunOption{WithParallel(2), WithAlgorithm("TA")}, true, false},
+		{"live", []RunOption{WithLive(2)}, true, true},
+		{"live+parallel", []RunOption{WithLive(2), WithParallel(2)}, true, false},
+		{"live+resilience", []RunOption{WithLive(2), res}, true, false},
+		{"live+approximation", []RunOption{WithLive(2), WithApproximation(0.2)}, true, false},
+	}
+	q := Query{F: Min(), K: 4}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, runErr := eng.Run(q, tc.opts...)
+			if (runErr == nil) != tc.runOK {
+				t.Fatalf("Run: err = %v, want accepted = %v", runErr, tc.runOK)
+			}
+			cur, openErr := eng.Open(q, tc.opts...)
+			if openErr == nil {
+				cur.Close()
+			}
+			switch {
+			case tc.batchOnly && openErr == nil:
+				t.Error("Open accepted a batch-only mode")
+			case !tc.batchOnly && (openErr == nil) != (runErr == nil):
+				t.Errorf("Run and Open disagree: Run err = %v, Open err = %v", runErr, openErr)
+			}
+		})
+	}
+}
+
+// TestRunAdaptiveTAAttachesMonitor: Run under WithAdaptive attaches the
+// telemetry-only divergence monitor to TA exactly as Open does — its
+// checkpoints fire through the run — without changing TA's bill. The
+// monitor reports nothing to the observer until it would re-plan, which
+// TA never does, so the test reads it off Run's pooled cursor.
+func TestRunAdaptiveTAAttachesMonitor(t *testing.T) {
+	ds := exampleDataset(t)
+	eng, err := NewEngine(DataBackend(ds), UniformScenario(2, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{F: Min(), K: 5}
+	plain, err := eng.Run(q, WithAlgorithm("TA"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sync.Pool may drop a Put (always possible, and deliberate under
+	// -race), so retry until Run's state comes back.
+	for i := 0; i < 32; i++ {
+		ans, err := eng.Run(q, WithAlgorithm("TA"), WithAdaptive(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ans.Items, plain.Items) || !reflect.DeepEqual(ans.Ledger, plain.Ledger) {
+			t.Fatal("the telemetry-only monitor changed TA's execution")
+		}
+		st, ok := eng.pool.Get().(*queryState)
+		if !ok {
+			continue
+		}
+		ta, ok := st.cur.pager.(*algo.TACursor)
+		if !ok {
+			t.Fatalf("Run's TA cursor is %T", st.cur.pager)
+		}
+		ad, ok := ta.Monitor.(*adapt.Adapter)
+		if !ok {
+			t.Fatal("Run dropped WithAdaptive for TA: no monitor attached")
+		}
+		if ad.Mon.Checkpoints() == 0 {
+			t.Fatal("TA's divergence monitor never checkpointed")
+		}
+		return
+	}
+	t.Fatal("the engine pool never returned Run's state")
 }
