@@ -188,8 +188,11 @@ func WithResilience(r *Resilience) Option {
 
 // Session mediates all accesses of one query execution: it enforces
 // legality, walks sorted lists in order, accrues costs, and records
-// traces. A Session is single-use and not safe for concurrent use; the
-// parallel executor serializes its bookkeeping. The engine facade pools
+// traces. It is the only legality and billing authority: SortedNext and
+// Random are built from the split-phase halves Begin, Fetch and Finish,
+// which concurrent executors drive directly. A Session is single-use and
+// not safe for concurrent use, except that Fetch may run concurrently
+// with the goroutine driving everything else. The engine facade pools
 // sessions through sync.Pool (see Reset).
 //
 //topklint:pooled
@@ -199,13 +202,14 @@ type Session struct {
 	nwg     bool
 	ctx     context.Context
 
-	cursor  []int    // next rank per predicate
-	probed  [][]bool // probed[pred][obj]
-	seen    []bool
-	nseen   int
-	ns, nr  []int
-	cost    Cost
-	nAccess int
+	cursor   []int    // next rank per predicate
+	probed   [][]bool // probed[pred][obj]
+	seen     []bool
+	nseen    int
+	ns, nr   []int
+	cost     Cost
+	nAccess  int  // accesses begun and not failed; cost shifts key on it
+	reserved Cost // cost of begun, unfinished accesses (see Begin)
 
 	shifts    []CostShift
 	current   []PredCost // costs currently in force
@@ -313,6 +317,7 @@ func (s *Session) Reset(opts ...Option) error {
 	clear(s.nr)
 	s.cost = 0
 	s.nAccess = 0
+	s.reserved = 0
 	s.shifts = s.shifts[:0]
 	copy(s.current, s.scn.Preds)
 	s.budget, s.hasBudget = 0, false
@@ -592,61 +597,159 @@ func (s *Session) failAccess(kind Kind, i int, err error) error {
 	return err
 }
 
+// Pending is one access begun on the session and not yet finished: the
+// cursor rank or probe it reserved, the unit cost it will bill, and —
+// once Fetch returns — the backend's answer.
+type Pending struct {
+	Kind  Kind
+	Pred  int
+	Obj   int     // the object targeted (ra), or returned once fetched (sa)
+	Rank  int     // the reserved list rank (sa)
+	Score float64 // the fetched score
+	Cost  Cost    // the unit cost in force at Begin; billed by Finish on success
+	Err   error   // the backend's failure, if any
+}
+
+// Begin is the first half of an access: it checks legality (range,
+// capability and breaker state, list exhaustion, no wild guesses, no
+// repeated probe), applies due cost shifts, checks the budget against the
+// billed cost plus every begun-but-unfinished access, acquires the
+// breaker, and reserves the access — the next rank of predicate i's list
+// (sa) or the probe ra_i(u). A refused access reserves nothing. Every
+// successful Begin must be settled by Finish.
+//
+//topklint:hotpath
+func (s *Session) Begin(kind Kind, i, u int) (Pending, error) {
+	if i < 0 || i >= s.M() {
+		return Pending{}, fmt.Errorf("access: predicate %d out of range", i)
+	}
+	if kind == RandomAccess && (u < 0 || u >= s.N()) {
+		return Pending{}, fmt.Errorf("access: object %d out of range", u)
+	}
+	s.syncBreakers()
+	ok, unsupported := s.current[i].SortedOK, ErrSortedUnsupported
+	if kind == RandomAccess {
+		ok, unsupported = s.current[i].RandomOK, ErrRandomUnsupported
+	}
+	if !ok {
+		if s.breakerTripped(kind, i) {
+			s.observeDenied(kind, i, obs.DenyBreaker)
+			return Pending{}, fmt.Errorf("%w: %v on p%d", ErrCircuitOpen, kind, i+1)
+		}
+		s.observeDenied(kind, i, obs.DenyUnsupported)
+		return Pending{}, fmt.Errorf("%w: p%d", unsupported, i+1)
+	}
+	switch {
+	case kind == SortedAccess && s.SortedExhausted(i):
+		s.observeDenied(kind, i, obs.DenyExhausted)
+		return Pending{}, fmt.Errorf("%w: p%d", ErrExhausted, i+1)
+	case kind == RandomAccess && s.nwg && !s.seen[u]:
+		s.observeDenied(kind, i, obs.DenyWildGuess)
+		return Pending{}, fmt.Errorf("%w: ra%d(u%d)", ErrWildGuess, i+1, u)
+	case kind == RandomAccess && s.probed[i][u]:
+		s.observeDenied(kind, i, obs.DenyRepeatedProbe)
+		return Pending{}, fmt.Errorf("%w: ra%d(u%d)", ErrRepeatedProbe, i+1, u)
+	}
+	s.applyShifts()
+	cost := s.current[i].Sorted
+	if kind == RandomAccess {
+		cost = s.current[i].Random
+	}
+	if left := s.budget - s.cost - s.reserved; s.hasBudget && cost > left {
+		s.observeDenied(kind, i, obs.DenyBudget)
+		return Pending{}, fmt.Errorf("%w: %v%d would cost %v with %v left", ErrBudgetExhausted, kind, i+1, cost, left)
+	}
+	if !s.acquireBreaker(kind, i) {
+		s.observeDenied(kind, i, obs.DenyBreaker)
+		return Pending{}, fmt.Errorf("%w: %v on p%d (probe in flight)", ErrCircuitOpen, kind, i+1)
+	}
+	p := Pending{Kind: kind, Pred: i, Obj: u, Cost: cost}
+	if kind == SortedAccess {
+		p.Rank = s.cursor[i]
+		s.cursor[i]++
+	} else {
+		s.probed[i][u] = true
+	}
+	s.reserved += cost
+	s.nAccess++
+	return p, nil
+}
+
+// Fetch is the second half of an access: the raw backend call under the
+// session's context and per-access deadline, filling p's result or Err.
+// It reads only the session's immutable per-run settings, so a concurrent
+// executor may run it off the goroutine that drives Begin and Finish.
+func (s *Session) Fetch(p *Pending) {
+	actx, cancel := s.accessCtx()
+	if p.Kind == SortedAccess {
+		p.Obj, p.Score, p.Err = s.backend.Sorted(actx, p.Pred, p.Rank)
+	} else {
+		p.Score, p.Err = s.backend.Random(actx, p.Pred, p.Obj)
+	}
+	cancel()
+}
+
+// Finish is the last half of an access. On success it bills the reserved
+// cost and records the breaker outcome, the trace entry and the observer
+// event. On failure it releases the reservation unbilled — the cursor
+// moves back when the failed rank is the list's last reserved one — and
+// returns the classified error (wrapped in ErrAccessFailed under
+// resilience).
+//
+//topklint:hotpath
+func (s *Session) Finish(p *Pending) error {
+	i := p.Pred
+	s.reserved -= p.Cost
+	if p.Err != nil {
+		s.nAccess--
+		if p.Kind == SortedAccess {
+			if s.cursor[i] == p.Rank+1 {
+				s.cursor[i] = p.Rank
+			}
+		} else {
+			s.probed[i][p.Obj] = false
+		}
+		s.observeFailure(p.Kind, i, p.Err)
+		if p.Kind == SortedAccess {
+			return s.failAccess(p.Kind, i, fmt.Errorf("access: backend sorted(p%d, rank %d): %w", i+1, p.Rank, p.Err))
+		}
+		return s.failAccess(p.Kind, i, fmt.Errorf("access: backend random(p%d, u%d): %w", i+1, p.Obj, p.Err))
+	}
+	s.recordBreaker(p.Kind, i, true)
+	s.cost += p.Cost
+	if p.Kind == SortedAccess {
+		s.ns[i]++
+		if !s.seen[p.Obj] {
+			s.seen[p.Obj] = true
+			s.nseen++
+		}
+	} else {
+		s.nr[i]++
+	}
+	if s.traceOn {
+		s.trace = append(s.trace, Record{Kind: p.Kind, Pred: i, Obj: p.Obj, Score: p.Score, Cost: p.Cost})
+	}
+	if s.obs != nil {
+		s.obs.AccessDone(obsKind(p.Kind), i, p.Cost.Units())
+	}
+	return nil
+}
+
 // SortedNext performs sa_i: it returns the next object in descending p_i
 // order along with its score, accruing cs_i. It fails with ErrExhausted at
 // the end of the list and ErrSortedUnsupported if the scenario forbids it.
 //
 //topklint:hotpath
 func (s *Session) SortedNext(i int) (obj int, score float64, err error) {
-	if i < 0 || i >= s.M() {
-		return 0, 0, fmt.Errorf("access: predicate %d out of range", i)
-	}
-	s.syncBreakers()
-	if !s.current[i].SortedOK {
-		if s.breakerTripped(SortedAccess, i) {
-			s.observeDenied(SortedAccess, i, obs.DenyBreaker)
-			return 0, 0, fmt.Errorf("%w: sa on p%d", ErrCircuitOpen, i+1)
-		}
-		s.observeDenied(SortedAccess, i, obs.DenyUnsupported)
-		return 0, 0, fmt.Errorf("%w: p%d", ErrSortedUnsupported, i+1)
-	}
-	if s.SortedExhausted(i) {
-		s.observeDenied(SortedAccess, i, obs.DenyExhausted)
-		return 0, 0, fmt.Errorf("%w: p%d", ErrExhausted, i+1)
-	}
-	s.applyShifts()
-	if s.hasBudget && s.cost+s.current[i].Sorted > s.budget {
-		s.observeDenied(SortedAccess, i, obs.DenyBudget)
-		return 0, 0, fmt.Errorf("%w: sa%d would cost %v with %v left", ErrBudgetExhausted, i+1, s.current[i].Sorted, s.budget-s.cost)
-	}
-	if !s.acquireBreaker(SortedAccess, i) {
-		s.observeDenied(SortedAccess, i, obs.DenyBreaker)
-		return 0, 0, fmt.Errorf("%w: sa on p%d (probe in flight)", ErrCircuitOpen, i+1)
-	}
-	rank := s.cursor[i]
-	actx, cancel := s.accessCtx()
-	obj, score, err = s.backend.Sorted(actx, i, rank)
-	cancel()
+	p, err := s.Begin(SortedAccess, i, 0)
 	if err != nil {
-		s.observeFailure(SortedAccess, i, err)
-		return 0, 0, s.failAccess(SortedAccess, i, fmt.Errorf("access: backend sorted(p%d, rank %d): %w", i+1, rank, err))
+		return 0, 0, err
 	}
-	s.recordBreaker(SortedAccess, i, true)
-	s.cursor[i]++
-	s.ns[i]++
-	s.nAccess++
-	s.cost += s.current[i].Sorted
-	if !s.seen[obj] {
-		s.seen[obj] = true
-		s.nseen++
+	s.Fetch(&p)
+	if err := s.Finish(&p); err != nil {
+		return 0, 0, err
 	}
-	if s.traceOn {
-		s.trace = append(s.trace, Record{Kind: SortedAccess, Pred: i, Obj: obj, Score: score, Cost: s.current[i].Sorted})
-	}
-	if s.obs != nil {
-		s.obs.AccessDone(obs.Sorted, i, s.current[i].Sorted.Units())
-	}
-	return obj, score, nil
+	return p.Obj, p.Score, nil
 }
 
 // Random performs ra_i(u), accruing cr_i. Under no-wild-guesses the object
@@ -654,57 +757,15 @@ func (s *Session) SortedNext(i int) (obj int, score float64, err error) {
 //
 //topklint:hotpath
 func (s *Session) Random(i, u int) (float64, error) {
-	if i < 0 || i >= s.M() {
-		return 0, fmt.Errorf("access: predicate %d out of range", i)
-	}
-	if u < 0 || u >= s.N() {
-		return 0, fmt.Errorf("access: object %d out of range", u)
-	}
-	s.syncBreakers()
-	if !s.current[i].RandomOK {
-		if s.breakerTripped(RandomAccess, i) {
-			s.observeDenied(RandomAccess, i, obs.DenyBreaker)
-			return 0, fmt.Errorf("%w: ra on p%d", ErrCircuitOpen, i+1)
-		}
-		s.observeDenied(RandomAccess, i, obs.DenyUnsupported)
-		return 0, fmt.Errorf("%w: p%d", ErrRandomUnsupported, i+1)
-	}
-	if s.nwg && !s.seen[u] {
-		s.observeDenied(RandomAccess, i, obs.DenyWildGuess)
-		return 0, fmt.Errorf("%w: ra%d(u%d)", ErrWildGuess, i+1, u)
-	}
-	if s.probed[i][u] {
-		s.observeDenied(RandomAccess, i, obs.DenyRepeatedProbe)
-		return 0, fmt.Errorf("%w: ra%d(u%d)", ErrRepeatedProbe, i+1, u)
-	}
-	s.applyShifts()
-	if s.hasBudget && s.cost+s.current[i].Random > s.budget {
-		s.observeDenied(RandomAccess, i, obs.DenyBudget)
-		return 0, fmt.Errorf("%w: ra%d would cost %v with %v left", ErrBudgetExhausted, i+1, s.current[i].Random, s.budget-s.cost)
-	}
-	if !s.acquireBreaker(RandomAccess, i) {
-		s.observeDenied(RandomAccess, i, obs.DenyBreaker)
-		return 0, fmt.Errorf("%w: ra on p%d (probe in flight)", ErrCircuitOpen, i+1)
-	}
-	actx, cancel := s.accessCtx()
-	score, err := s.backend.Random(actx, i, u)
-	cancel()
+	p, err := s.Begin(RandomAccess, i, u)
 	if err != nil {
-		s.observeFailure(RandomAccess, i, err)
-		return 0, s.failAccess(RandomAccess, i, fmt.Errorf("access: backend random(p%d, u%d): %w", i+1, u, err))
+		return 0, err
 	}
-	s.recordBreaker(RandomAccess, i, true)
-	s.probed[i][u] = true
-	s.nr[i]++
-	s.nAccess++
-	s.cost += s.current[i].Random
-	if s.traceOn {
-		s.trace = append(s.trace, Record{Kind: RandomAccess, Pred: i, Obj: u, Score: score, Cost: s.current[i].Random})
+	s.Fetch(&p)
+	if err := s.Finish(&p); err != nil {
+		return 0, err
 	}
-	if s.obs != nil {
-		s.obs.AccessDone(obs.Random, i, s.current[i].Random.Units())
-	}
-	return score, nil
+	return p.Score, nil
 }
 
 // Ledger returns a snapshot of accrued accesses and total cost.

@@ -15,9 +15,8 @@
 // router, fault wrappers), not an unbilled access — the outermost wrapper
 // is still driven through a session.
 //
-// Legitimate out-of-ledger traffic exists — cost calibration probes,
-// readiness checks, the live executor's own-ledgered accesses — and each
-// such site carries `//topklint:allow billedaccess <reason>`, so the
+// Legitimate out-of-ledger traffic exists — cost calibration probes and
+// readiness checks — and each such site carries `//topklint:allow billedaccess <reason>`, so the
 // exceptions are enumerable: grep for the directive and you have the
 // complete audit of unbilled access in the codebase.
 package billedaccess

@@ -154,10 +154,11 @@ const (
 	PhaseExecute Phase = "execute"
 )
 
-// Observer receives engine execution events. Implementations used with the
-// concurrent executors (parallel.Executor, parallel.Live) or shared across
-// HTTP requests must be safe for concurrent use; Nop, Registry-backed
-// observers, and QueryTrace all are.
+// Observer receives engine execution events. Implementations shared
+// across concurrent queries (HTTP requests) must be safe for concurrent
+// use; Nop, Registry-backed observers, and QueryTrace all are. Within one
+// query, the concurrent executor (parallel.Executor, on either clock)
+// emits every event from the goroutine running it.
 //
 // Every method must be cheap and non-blocking: events fire on the access
 // hot path, and a stalled observer stalls the query.
@@ -176,7 +177,8 @@ type Observer interface {
 	// current candidate-queue size (the K_P working set).
 	LoopIteration(candidates int)
 	// InflightChange reports a concurrent executor starting (+1) or
-	// finishing (-1) an access.
+	// finishing (-1) an access; the accesses still in flight when a run
+	// ends are settled in one negative delta, so the sum returns to zero.
 	InflightChange(delta int)
 	// DispatchStall fires when a concurrent executor has free slots but no
 	// dispatchable necessary access (it must wait for completions).

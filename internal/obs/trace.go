@@ -113,8 +113,8 @@ type BreakerEvent struct {
 }
 
 // QueryTrace is an Observer that accumulates one query's events. It is
-// safe for concurrent use (the live executor emits from its coordinating
-// goroutine while web-source clients emit retries from request
+// safe for concurrent use (the concurrent executor emits from the
+// goroutine running it while web-source clients emit retries from request
 // goroutines); a single short mutex guards all state.
 type QueryTrace struct {
 	mu sync.Mutex

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -41,34 +42,47 @@ func (b failingBackend) Random(ctx context.Context, pred, obj int) (float64, err
 	return 0, errBoom
 }
 
-func TestLiveMatchesOracle(t *testing.T) {
-	ds := datatest.MustGenerate(data.Uniform, 120, 2, 51)
-	scn := access.Uniform(2, 1, 2)
-	live := &Live{B: 4, Sel: algotest.MustSRG([]float64{0.5, 0.5}, nil), Scn: scn}
-	res, err := live.Run(context.Background(), access.DatasetBackend{DS: ds}, score.Min(), 5)
+// liveRun runs a problem over backend b on the wall clock, returning the
+// session too so tests can read its ledger after a failed run.
+func liveRun(ctx context.Context, b access.Backend, scn access.Scenario, f score.Func, k, bound int, h []float64, opts ...access.Option) (*Result, *access.Session, error) {
+	sess, err := access.NewSession(b, scn, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	prob, err := algo.NewProblem(f, k, sess)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := (&Executor{B: bound, Sel: algotest.MustSRG(h, nil)}).RunLive(ctx, prob)
+	return res, sess, err
+}
+
+func mustLive(t *testing.T, b access.Backend, scn access.Scenario, f score.Func, k, bound int, h []float64) *Result {
+	t.Helper()
+	res, _, err := liveRun(context.Background(), b, scn, f, k, bound, h)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestLiveMatchesOracle(t *testing.T) {
+	ds := datatest.MustGenerate(data.Uniform, 120, 2, 51)
+	res := mustLive(t, access.DatasetBackend{DS: ds}, access.Uniform(2, 1, 2), score.Min(), 5, 4, []float64{0.5, 0.5})
 	assertOracle(t, ds, score.Min(), 5, res.Items)
-	if res.Cost() <= 0 {
+	if res.Cost() <= 0 || res.Ledger.TotalAccesses() == 0 {
 		t.Error("live run accrued no modeled cost")
 	}
-	l := res.Ledger
-	if l.TotalAccesses() == 0 {
-		t.Error("no accesses recorded")
+	if res.Wall <= 0 || res.Elapsed != 0 {
+		t.Errorf("wall clock reported Wall=%v Elapsed=%g", res.Wall, res.Elapsed)
 	}
 }
 
 func TestLiveWallClockSpeedup(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 80, 2, 52)
-	scn := access.Uniform(2, 1, 1)
 	backend := sleepBackend{DatasetBackend: access.DatasetBackend{DS: ds}, delay: 2 * time.Millisecond}
-	run := func(b int) *LiveResult {
-		live := &Live{B: b, Sel: algotest.MustSRG([]float64{0.5, 0.5}, nil), Scn: scn}
-		res, err := live.Run(context.Background(), backend, score.Avg(), 5)
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(b int) *Result {
+		res := mustLive(t, backend, access.Uniform(2, 1, 1), score.Avg(), 5, b, []float64{0.5, 0.5})
 		assertOracle(t, ds, score.Avg(), 5, res.Items)
 		return res
 	}
@@ -88,29 +102,26 @@ func TestLiveWallClockSpeedup(t *testing.T) {
 func TestLiveProbeScenario(t *testing.T) {
 	ds := datatest.MustGenerate(data.AntiCorrelated, 90, 3, 53)
 	scn := access.MatrixCell(3, access.Impossible, access.Expensive, 10)
-	live := &Live{B: 6, Sel: algotest.MustSRG([]float64{0, 1, 1}, nil), Scn: scn}
-	res, err := live.Run(context.Background(), access.DatasetBackend{DS: ds}, score.Min(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustLive(t, access.DatasetBackend{DS: ds}, scn, score.Min(), 4, 6, []float64{0, 1, 1})
 	assertOracle(t, ds, score.Min(), 4, res.Items)
 }
 
 func TestLiveValidation(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 10, 2, 1)
-	b := access.DatasetBackend{DS: ds}
+	sess, _ := access.NewSession(access.DatasetBackend{DS: ds}, access.Uniform(2, 1, 1))
+	prob, _ := algo.NewProblem(score.Min(), 2, sess)
 	sel := algotest.MustSRG([]float64{0.5, 0.5}, nil)
-	if _, err := (&Live{B: 0, Sel: sel, Scn: access.Uniform(2, 1, 1)}).Run(context.Background(), b, score.Min(), 2); err == nil {
+	if _, err := (&Executor{B: 0, Sel: sel}).RunLive(context.Background(), prob); err == nil {
 		t.Error("B=0 should fail")
 	}
-	if _, err := (&Live{B: 2, Scn: access.Uniform(2, 1, 1)}).Run(context.Background(), b, score.Min(), 2); err == nil {
+	if _, err := (&Executor{B: 2}).RunLive(context.Background(), prob); err == nil {
 		t.Error("nil selector should fail")
 	}
-	if _, err := (&Live{B: 2, Sel: sel, Scn: access.Uniform(3, 1, 1)}).Run(context.Background(), b, score.Min(), 2); err == nil {
-		t.Error("scenario arity mismatch should fail")
+	if _, err := (&Executor{B: 2, Sel: sel}).RunLive(context.Background(), prob); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := (&Live{B: 2, Sel: sel, Scn: access.Uniform(2, 1, 1)}).Run(context.Background(), b, score.Min(), 0); err == nil {
-		t.Error("k=0 should fail")
+	if _, err := (&Executor{B: 2, Sel: sel}).RunLive(context.Background(), prob); err == nil {
+		t.Error("a problem's session is single-use; a second run should fail")
 	}
 }
 
@@ -118,49 +129,46 @@ func TestLiveSurfacesBackendErrors(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 30, 2, 2)
 	scn := access.MatrixCell(2, access.Cheap, access.Cheap, 1)
 	// Force probes by forbidding deep sorted access.
-	live := &Live{B: 3, Sel: algotest.MustSRG([]float64{1, 1}, nil), Scn: scn}
-	_, err := live.Run(context.Background(), failingBackend{access.DatasetBackend{DS: ds}}, score.Avg(), 3)
+	_, sess, err := liveRun(context.Background(), failingBackend{access.DatasetBackend{DS: ds}}, scn, score.Avg(), 3, 3, []float64{1, 1})
 	if !errors.Is(err, errBoom) {
 		t.Errorf("backend error not surfaced: %v", err)
+	}
+	for i, n := range sess.Ledger().RandomCounts {
+		if n != 0 {
+			t.Errorf("failed probes on p%d were billed: %d", i+1, n)
+		}
 	}
 }
 
 func TestLiveKLargerThanN(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 6, 2, 3)
-	live := &Live{B: 3, Sel: algotest.MustSRG([]float64{0.5, 0.5}, nil), Scn: access.Uniform(2, 1, 1)}
-	res, err := live.Run(context.Background(), access.DatasetBackend{DS: ds}, score.Avg(), 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustLive(t, access.DatasetBackend{DS: ds}, access.Uniform(2, 1, 1), score.Avg(), 50, 3, []float64{0.5, 0.5})
 	assertOracle(t, ds, score.Avg(), 50, res.Items)
 }
 
-// countingBackend records the peak number of concurrent requests per
-// predicate.
+// countingBackend counts requests and tracks how many are in flight per
+// predicate; failRandom, when set, fails every random access after the
+// delay.
 type countingBackend struct {
 	access.DatasetBackend
+	delay      time.Duration
+	failRandom error
+
 	mu       sync.Mutex
+	calls    int
 	inflight []int
-	peak     []int
-	delay    time.Duration
 }
 
 func newCountingBackend(ds *data.Dataset, delay time.Duration) *countingBackend {
-	return &countingBackend{
-		DatasetBackend: access.DatasetBackend{DS: ds},
-		inflight:       make([]int, ds.M()),
-		peak:           make([]int, ds.M()),
-		delay:          delay,
-	}
+	return &countingBackend{DatasetBackend: access.DatasetBackend{DS: ds}, delay: delay, inflight: make([]int, ds.M())}
 }
 
 func (b *countingBackend) enter(pred int) {
 	b.mu.Lock()
+	b.calls++
 	b.inflight[pred]++
-	if b.inflight[pred] > b.peak[pred] {
-		b.peak[pred] = b.inflight[pred]
-	}
 	b.mu.Unlock()
+	time.Sleep(b.delay)
 }
 
 func (b *countingBackend) exit(pred int) {
@@ -171,54 +179,118 @@ func (b *countingBackend) exit(pred int) {
 
 func (b *countingBackend) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
 	b.enter(pred)
-	time.Sleep(b.delay)
 	defer b.exit(pred)
 	return b.DatasetBackend.Sorted(ctx, pred, rank)
 }
 
 func (b *countingBackend) Random(ctx context.Context, pred, obj int) (float64, error) {
 	b.enter(pred)
-	time.Sleep(b.delay)
 	defer b.exit(pred)
+	if b.failRandom != nil {
+		return 0, b.failRandom
+	}
 	return b.DatasetBackend.Random(ctx, pred, obj)
 }
 
-func TestLivePerPredicatePoliteness(t *testing.T) {
-	ds := datatest.MustGenerate(data.Uniform, 100, 2, 61)
-	backend := newCountingBackend(ds, time.Millisecond)
-	live := &Live{
-		B:            8,
-		Sel:          algotest.MustSRG([]float64{0.5, 0.5}, nil),
-		Scn:          access.Uniform(2, 1, 1),
-		PerPredLimit: 2,
+// settled reports the requests made and those still in flight.
+func (b *countingBackend) settled() (calls, inflight int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, n := range b.inflight {
+		inflight += n
 	}
-	res, err := live.Run(context.Background(), backend, score.Avg(), 5)
+	return b.calls, inflight
+}
+
+// TestLiveDrainsInflight: RunLive returns only after every request it
+// issued has landed — on success, on a backend failure and on
+// cancellation — so no goroutine outlives the run and, on success, the
+// ledger counts exactly the requests the sources served.
+func TestLiveDrainsInflight(t *testing.T) {
+	ds := datatest.MustGenerate(data.Uniform, 200, 2, 9)
+	scn := access.Uniform(2, 1, 1)
+	h := []float64{0.5, 0.5}
+
+	ok := newCountingBackend(ds, 2*time.Millisecond)
+	res, _, err := liveRun(context.Background(), ok, scn, score.Avg(), 5, 8, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertOracle(t, ds, score.Avg(), 5, res.Items)
-	backend.mu.Lock()
-	defer backend.mu.Unlock()
-	for i, p := range backend.peak {
-		if p > 2 {
-			t.Errorf("predicate %d saw %d concurrent requests, limit 2", i, p)
-		}
+	calls, inflight := ok.settled()
+	if inflight != 0 {
+		t.Errorf("success: %d requests still in flight after RunLive returned", inflight)
+	}
+	if got := res.Ledger.TotalAccesses(); got != calls {
+		t.Errorf("success: ledger counts %d accesses, sources served %d", got, calls)
+	}
+
+	failing := newCountingBackend(ds, 2*time.Millisecond)
+	failing.failRandom = errBoom
+	if _, _, err := liveRun(context.Background(), failing, access.Uniform(2, 1, 1), score.Avg(), 5, 8, []float64{1, 1}); !errors.Is(err, errBoom) {
+		t.Fatalf("failure: err = %v, want errBoom", err)
+	}
+	if _, inflight := failing.settled(); inflight != 0 {
+		t.Errorf("failure: %d requests still in flight after RunLive returned", inflight)
+	}
+
+	slow := newCountingBackend(ds, 2*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if _, _, err := liveRun(ctx, slow, scn, score.Avg(), 50, 8, h, access.WithContext(ctx)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancel: err = %v, want context.DeadlineExceeded", err)
+	}
+	if _, inflight := slow.settled(); inflight != 0 {
+		t.Errorf("cancel: %d requests still in flight after RunLive returned", inflight)
+	}
+}
+
+// TestClocksShareBudget: the session's budget binds both clocks. At B=1
+// they refuse the very same access with identical ledgers; at B=8 the
+// wall clock counts in-flight reservations against the cap, so it never
+// bills past it.
+func TestClocksShareBudget(t *testing.T) {
+	ds := datatest.MustGenerate(data.Uniform, 200, 2, 21)
+	scn := access.Uniform(2, 1, 2)
+	h := []float64{0.5, 0.5}
+	budget := access.CostOf(15)
+	backend := sleepBackend{DatasetBackend: access.DatasetBackend{DS: ds}, delay: time.Millisecond}
+
+	sess, _ := access.NewSession(backend, scn, access.WithBudget(budget))
+	prob, _ := algo.NewProblem(score.Avg(), 10, sess)
+	if _, err := (&Executor{B: 1, Sel: algotest.MustSRG(h, nil)}).Run(context.Background(), prob); !errors.Is(err, access.ErrBudgetExhausted) {
+		t.Fatalf("simulated clock: err = %v, want ErrBudgetExhausted", err)
+	}
+	_, live, err := liveRun(context.Background(), backend, scn, score.Avg(), 10, 1, h, access.WithBudget(budget))
+	if !errors.Is(err, access.ErrBudgetExhausted) {
+		t.Fatalf("wall clock: err = %v, want ErrBudgetExhausted", err)
+	}
+	if !reflect.DeepEqual(sess.Ledger(), live.Ledger()) {
+		t.Errorf("B=1 clocks refused different accesses: simulated %+v, wall %+v", sess.Ledger(), live.Ledger())
+	}
+
+	_, wide, err := liveRun(context.Background(), backend, scn, score.Avg(), 10, 8, h, access.WithBudget(budget))
+	if !errors.Is(err, access.ErrBudgetExhausted) {
+		t.Fatalf("B=8 wall clock: err = %v, want ErrBudgetExhausted", err)
+	}
+	if got := wide.Ledger().TotalCost; got > budget {
+		t.Errorf("B=8 wall clock billed %v past the %v budget", got, budget)
 	}
 }
 
 func TestLiveCancellation(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 200, 2, 9)
 	backend := sleepBackend{DatasetBackend: access.DatasetBackend{DS: ds}, delay: 2 * time.Millisecond}
-	live := &Live{B: 3, Sel: algotest.MustSRG([]float64{0.5, 0.5}, nil), Scn: access.Uniform(2, 1, 2)}
+	scn := access.Uniform(2, 1, 2)
+	h := []float64{0.5, 0.5}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := live.Run(ctx, backend, score.Min(), 5); !errors.Is(err, context.Canceled) {
+	if _, _, err := liveRun(ctx, backend, scn, score.Min(), 5, 3, h); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled run: err = %v, want context.Canceled", err)
 	}
 	// A short deadline mid-run aborts instead of hanging.
 	ctx, cancel = context.WithTimeout(context.Background(), 3*time.Millisecond)
 	defer cancel()
-	if _, err := live.Run(ctx, backend, score.Min(), 50); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := liveRun(ctx, backend, scn, score.Min(), 50, 3, h); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("deadline run: err = %v, want context.DeadlineExceeded", err)
 	}
 }

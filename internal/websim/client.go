@@ -71,7 +71,8 @@ func WithJitterSeed(seed int64) ClientOption {
 // WithObserver streams the client's retry storms and terminal request
 // failures into an observer (SourceRetry per backoff sleep,
 // SourceFailure per request given up on). The observer must be safe for
-// concurrent use — live executors issue requests from many goroutines.
+// concurrent use — the wall-clock executor issues requests from many
+// goroutines.
 func WithObserver(o obs.Observer) ClientOption {
 	return func(c *Client) { c.obs = o }
 }

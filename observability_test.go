@@ -156,26 +156,37 @@ func TestTraceBudgetExhaustion(t *testing.T) {
 	checkConservation(t, "budgeted", ans)
 }
 
-// TestParallelTrace checks the simulated concurrent executor's trace: slot
-// occupancy reached the bound at least once on a busy run, and the counts
-// still conserve the ledger.
+// TestParallelTrace checks the concurrent executor's trace on both
+// clocks: slot occupancy reached the bound at least once on a busy run,
+// and the counts still conserve the ledger — the session is the only
+// biller, so trace == ledger holds under WithLive as under WithParallel.
+// The in-flight gauge returns to zero once each run has ended.
 func TestParallelTrace(t *testing.T) {
 	ds := mustGenerateDataset(t, "uniform", 300, 2, 13)
 	eng, err := NewEngine(DataBackend(ds), UniformScenario(2, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := eng.Run(Query{F: Min(), K: 10},
-		WithNC([]float64{0.5, 0.5}, nil), WithParallel(4), WithTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkConservation(t, "parallel", ans)
-	if ans.Trace.InflightHighWater < 1 {
-		t.Errorf("inflight high water = %d, want >= 1", ans.Trace.InflightHighWater)
-	}
-	if ans.Trace.InflightHighWater > 4 {
-		t.Errorf("inflight high water %d exceeds the bound B=4", ans.Trace.InflightHighWater)
+	reg := NewMetricsRegistry()
+	for _, mode := range []struct {
+		name string
+		opt  RunOption
+	}{{"parallel", WithParallel(4)}, {"live", WithLive(4)}} {
+		ans, err := eng.Run(Query{F: Min(), K: 10},
+			WithNC([]float64{0.5, 0.5}, nil), mode.opt, WithTrace(), WithObserver(NewMetricsObserver(reg)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkConservation(t, mode.name, ans)
+		if n := reg.Gauge("topk_executor_inflight", "").Value(); n != 0 {
+			t.Errorf("%s: in-flight gauge reads %d after the run", mode.name, n)
+		}
+		if ans.Trace.InflightHighWater < 1 {
+			t.Errorf("%s: inflight high water = %d, want >= 1", mode.name, ans.Trace.InflightHighWater)
+		}
+		if ans.Trace.InflightHighWater > 4 {
+			t.Errorf("%s: inflight high water %d exceeds the bound B=4", mode.name, ans.Trace.InflightHighWater)
+		}
 	}
 }
 

@@ -511,7 +511,7 @@ func (e *Engine) newSpec(opts []RunOption, cursor bool) (runSpec, error) {
 	for _, o := range opts {
 		o(&r)
 	}
-	if err := r.check(e, cursor); err != nil {
+	if err := r.check(cursor); err != nil {
 		return r, err
 	}
 	if r.trace {
@@ -527,12 +527,12 @@ func (e *Engine) newSpec(opts []RunOption, cursor bool) (runSpec, error) {
 	return r, nil
 }
 
-// check is the one option rule set shared by Run, Open and the live path.
+// check is the one option rule set shared by Run and Open.
 // A resumable execution — NC (optimized or WithNC), TA, MPro — accepts
 // exactly the same combinations under Run and Open. With cursor set it
 // also rejects the batch-only modes, which only Run executes: WithParallel,
 // WithLive, and the named baselines without a resumable form.
-func (r *runSpec) check(e *Engine, cursor bool) error {
+func (r *runSpec) check(cursor bool) error {
 	concurrent := r.parallelB > 0 || r.liveB > 0
 	switch {
 	case r.algErr != nil:
@@ -547,10 +547,6 @@ func (r *runSpec) check(e *Engine, cursor bool) error {
 		return fmt.Errorf("topk: WithParallel and WithLive cannot run named baseline algorithms")
 	case concurrent && r.adaptive:
 		return fmt.Errorf("topk: WithParallel and WithLive cannot be combined with WithAdaptive")
-	case r.liveB > 0 && r.resilience != nil:
-		return fmt.Errorf("topk: WithResilience is not compatible with WithLive (the live executor bypasses the session)")
-	case r.liveB > 0 && len(e.shifts) > 0:
-		return fmt.Errorf("topk: live execution does not support simulated cost shifts")
 	case cursor && concurrent:
 		return fmt.Errorf("topk: WithParallel and WithLive are batch-only; Open supports sequential execution")
 	case cursor && !resumable(r.algorithm):
@@ -645,29 +641,36 @@ func WithAdaptive(period int) RunOption {
 	return func(r *runSpec) { r.adaptive, r.period = true, period }
 }
 
-// WithParallel executes under a bounded-concurrency simulated executor
-// with at most b concurrent accesses. Combines with WithNC or the
-// optimizer (the chosen plan's selector drives dispatch). Batch-only: Run
-// accepts it, Open rejects it; not compatible with named baselines,
-// WithAdaptive, WithApproximation, or WithLive.
+// WithParallel executes on the concurrent executor's simulated clock with
+// at most b concurrent accesses; the answer's Elapsed field reports the
+// simulated time. Combines with WithNC or the optimizer (the chosen plan's
+// selector drives dispatch). Batch-only: Run accepts it, Open rejects it;
+// not compatible with named baselines, WithAdaptive, WithApproximation, or
+// WithLive.
 func WithParallel(b int) RunOption {
 	return func(r *runSpec) { r.parallelB = b }
 }
 
-// WithLive executes with real concurrent backend requests (goroutines)
-// bounded by b — for engines whose backend is a live source such as the
-// HTTP web-source client. The answer's Wall field reports measured time.
-// Batch-only: Run accepts it, Open rejects it; not compatible with named
-// baselines, WithAdaptive, WithApproximation, WithParallel,
-// WithResilience, or engine cost shifts.
+// WithLive executes on the concurrent executor's wall clock: real
+// concurrent backend requests (goroutines) bounded by b — for engines
+// whose backend is a live source such as the HTTP web-source client. The
+// answer's Wall field reports measured time. Every request is billed by
+// the same session as a sequential run, so WithBudget, WithResilience and
+// engine cost shifts apply, and Run returns only after every request it
+// issued has landed. Batch-only: Run accepts it, Open rejects it; not
+// compatible with named baselines, WithAdaptive, WithApproximation, or
+// WithParallel.
 func WithLive(b int) RunOption {
 	return func(r *runSpec) { r.liveB = b }
 }
 
-// WithBudget caps the run's total access cost (in cost units). NC-based
-// execution turns anytime: when the budget runs out the answer holds the
-// best current candidates and Truncated is set. Named baselines are not
-// anytime and fail once the budget is hit.
+// WithBudget caps the run's total access cost (in cost units). Sequential
+// NC-based execution turns anytime: when the budget runs out the answer
+// holds the best current candidates and Truncated is set. Named baselines
+// and the concurrent executors (WithParallel, WithLive) are not anytime
+// and fail with a budget-exhausted error instead; under WithLive the
+// cost of requests in flight counts against the cap, so the bill never
+// exceeds it.
 func WithBudget(units float64) RunOption {
 	return func(r *runSpec) { r.budgetUnits, r.hasBudget = units, true }
 }
@@ -706,8 +709,9 @@ func WithTrace() RunOption {
 // best current candidates with Truncated set and the reasons in the
 // Answer's Degraded field — the same anytime contract as WithBudget.
 // Share one BreakerSet across runs so breaker state carries across
-// queries. Applies to session-based execution; not compatible with
-// WithLive.
+// queries. The concurrent executors (WithParallel, WithLive) honour the
+// breakers and the per-access deadline but do not degrade: they fail on
+// the first failed or refused access.
 func WithResilience(r *Resilience) RunOption {
 	return func(spec *runSpec) { spec.resilience = r }
 }
@@ -735,10 +739,7 @@ func (e *Engine) Run(q Query, opts ...RunOption) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case spec.liveB > 0:
-		return e.runLive(q, &spec)
-	case spec.parallelB > 0 || !resumable(spec.algorithm):
+	if spec.parallelB > 0 || spec.liveB > 0 || !resumable(spec.algorithm) {
 		return e.runBatch(q, &spec)
 	}
 	c, err := e.open(q, &spec, true)
@@ -755,9 +756,10 @@ func (e *Engine) Run(q Query, opts ...RunOption) (*Answer, error) {
 		Degraded: res.Degraded, Trace: snapshot(c.tr)}, nil
 }
 
-// runBatch executes the session-based batch-only modes over the same begin
-// and plan steps as the cursor pipeline: WithParallel's simulated
-// concurrent executor, and the named baselines without a resumable form.
+// runBatch executes the batch-only modes over the same begin and plan
+// steps as the cursor pipeline: the concurrent executor — on its simulated
+// clock for WithParallel, its wall clock for WithLive — and the named
+// baselines without a resumable form.
 func (e *Engine) runBatch(q Query, spec *runSpec) (*Answer, error) {
 	st, prob, err := e.begin(q, spec)
 	if err != nil {
@@ -765,18 +767,23 @@ func (e *Engine) runBatch(q Query, spec *runSpec) (*Answer, error) {
 	}
 	defer e.pool.Put(st)
 	ans := &Answer{}
-	if spec.parallelB > 0 {
+	if spec.parallelB > 0 || spec.liveB > 0 {
 		sel, plan, err := e.plan(q, spec, st.sess.CurrentScenario(), st.sess.N())
 		if err != nil {
 			return nil, err
 		}
+		ex := &parallel.Executor{B: spec.parallelB, Sel: sel, Obs: spec.observer}
+		run := ex.Run
+		if spec.liveB > 0 {
+			ex.B, run = spec.liveB, ex.RunLive
+		}
 		start := time.Now()
-		res, err := (&parallel.Executor{B: spec.parallelB, Sel: sel, Obs: spec.observer}).Run(spec.context(), prob)
+		res, err := run(spec.context(), prob)
 		spec.executed(start)
 		if err != nil {
 			return nil, err
 		}
-		ans.Items, ans.Ledger, ans.Elapsed, ans.Plan = res.Items, res.Ledger, res.Elapsed, plan
+		ans.Items, ans.Ledger, ans.Elapsed, ans.Wall, ans.Plan = res.Items, res.Ledger, res.Elapsed, res.Wall, plan
 	} else {
 		start := time.Now()
 		res, err := spec.algorithm.Run(prob)
@@ -1187,24 +1194,6 @@ func (e *Engine) Explain(q Query, cfg OptimizerConfig) (Plan, error) {
 	}
 	cfg.DisableNWG = !e.nwg
 	return opt.Optimize(cfg, e.scn, q.F, q.K, e.backend.N())
-}
-
-// runLive executes the query with real concurrent backend requests: the
-// plan step, then the live executor (which keeps its own bookkeeping
-// instead of a session).
-func (e *Engine) runLive(q Query, spec *runSpec) (*Answer, error) {
-	sel, plan, err := e.plan(q, spec, e.scn, e.backend.N())
-	if err != nil {
-		return nil, err
-	}
-	live := &parallel.Live{B: spec.liveB, Sel: sel, Scn: e.scn, DisableNWG: !e.nwg, Obs: spec.observer}
-	start := time.Now()
-	res, err := live.Run(spec.context(), e.backend, q.F, q.K)
-	spec.executed(start)
-	if err != nil {
-		return nil, err
-	}
-	return &Answer{Items: res.Items, Ledger: res.Ledger, Plan: plan, Wall: res.Wall, Trace: snapshot(spec.tr)}, nil
 }
 
 // TopKOracle computes the exact answer by brute force over a dataset —

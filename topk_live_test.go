@@ -1,9 +1,14 @@
 package topk
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
+	"repro/internal/access"
 	"repro/internal/adapt"
 	"repro/internal/algo"
 )
@@ -48,10 +53,88 @@ func TestEngineLiveRejectsIncompatibleOptions(t *testing.T) {
 	if _, err := eng.Run(Query{F: Min(), K: 2}, WithLive(2), WithParallel(2)); err == nil {
 		t.Error("live + parallel should fail")
 	}
-	shifted, _ := NewEngine(DataBackend(ds), UniformScenario(2, 1, 1),
-		WithCostShifts(CostShift{AfterAccesses: 5, Pred: 0, RandomFactor: 2}))
-	if _, err := shifted.Run(Query{F: Min(), K: 2}, WithLive(2)); err == nil {
-		t.Error("live + cost shifts should fail")
+}
+
+// TestParallelLiveIdenticalAtB1: at B=1 both clocks of the concurrent
+// executor dispatch the same single access at a time through the same
+// session, so WithParallel(1) and WithLive(1) return byte-identical items
+// and ledgers (or the same error) in every Figure-2 cell.
+func TestParallelLiveIdenticalAtB1(t *testing.T) {
+	ds := exampleDataset(t)
+	for _, cell := range figure2Cells(2, 2) {
+		eng, err := NewEngine(DataBackend(ds), cell.scn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []ScoreFunc{Min(), Avg()} {
+			for _, h := range [][]float64{{.5, .5}, {1, 1}, {0, 0}} {
+				q := Query{F: f, K: 5}
+				sim, simErr := eng.Run(q, WithParallel(1), WithNC(h, nil))
+				live, liveErr := eng.Run(q, WithLive(1), WithNC(h, nil))
+				label := fmt.Sprintf("%s/%s/h=%v", cell.name, f.Name(), h)
+				if simErr != nil || liveErr != nil {
+					if fmt.Sprint(simErr) != fmt.Sprint(liveErr) {
+						t.Errorf("%s: errors differ: parallel %v, live %v", label, simErr, liveErr)
+					}
+					continue
+				}
+				if !reflect.DeepEqual(sim.Items, live.Items) || !reflect.DeepEqual(sim.Ledger, live.Ledger) {
+					t.Errorf("%s: B=1 clocks diverged:\nparallel %v %+v\nlive     %v %+v", label, sim.Items, sim.Ledger, live.Items, live.Ledger)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentClocksShareBudget: WithBudget binds both concurrent
+// clocks through the one session ledger — each fails with
+// ErrBudgetExhausted rather than billing past the cap.
+func TestConcurrentClocksShareBudget(t *testing.T) {
+	ds := exampleDataset(t)
+	eng, err := NewEngine(DataBackend(ds), UniformScenario(2, 1, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{F: Min(), K: 5}
+	for _, mode := range []RunOption{WithParallel(2), WithLive(2)} {
+		if _, err := eng.Run(q, mode, WithNC([]float64{.5, .5}, nil), WithBudget(3)); !errors.Is(err, access.ErrBudgetExhausted) {
+			t.Errorf("err = %v, want ErrBudgetExhausted", err)
+		}
+	}
+}
+
+// hangingBackend never answers a sorted access on its second predicate
+// until the access's context ends — a hung source.
+type hangingBackend struct{ Backend }
+
+func (b hangingBackend) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
+	if pred == 1 {
+		<-ctx.Done()
+		return 0, 0, ctx.Err()
+	}
+	return b.Backend.Sorted(ctx, pred, rank)
+}
+
+// TestLiveAccessTimeout: under WithLive the session's per-access deadline
+// bounds every concurrent request, so a hung source fails the run
+// promptly with ErrAccessFailed instead of blocking until the query's own
+// deadline.
+func TestLiveAccessTimeout(t *testing.T) {
+	ds := exampleDataset(t)
+	eng, err := NewEngine(hangingBackend{DataBackend(ds)}, UniformScenario(2, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err = eng.Run(Query{F: Min(), K: 5}, WithLive(4), WithNC([]float64{.5, .5}, nil), WithContext(ctx),
+		WithResilience(&Resilience{AccessTimeout: 5 * time.Millisecond}))
+	if !errors.Is(err, access.ErrAccessFailed) {
+		t.Fatalf("err = %v, want ErrAccessFailed", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("hung source held the run for %v", took)
 	}
 }
 
@@ -222,6 +305,11 @@ func TestRunOpenOptionRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shifted, err := NewEngine(DataBackend(ds), UniformScenario(2, 1, 2),
+		WithCostShifts(CostShift{AfterAccesses: 5, Pred: 0, RandomFactor: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	fixed := WithNC([]float64{0.5, 0.5}, nil)
 	res := WithResilience(&Resilience{Breakers: NewBreakerSet(2, BreakerConfig{})})
 	cases := []struct {
@@ -229,39 +317,45 @@ func TestRunOpenOptionRules(t *testing.T) {
 		opts      []RunOption
 		batchOnly bool // Run decides; Open must refuse
 		runOK     bool
+		eng       *Engine // nil = the plain engine
 	}{
-		{"default", nil, false, true},
-		{"fixed", []RunOption{fixed}, false, true},
-		{"adaptive", []RunOption{WithAdaptive(5)}, false, true},
-		{"adaptive+approximation", []RunOption{WithAdaptive(5), WithApproximation(0.2)}, false, true},
-		{"fixed+adaptive+approximation", []RunOption{fixed, WithAdaptive(5), WithApproximation(0.2)}, false, true},
-		{"approximation", []RunOption{WithApproximation(0.2)}, false, true},
-		{"negative epsilon", []RunOption{WithApproximation(-1)}, false, false},
-		{"budget", []RunOption{WithBudget(50)}, false, true},
-		{"non-positive budget", []RunOption{WithBudget(0)}, false, false},
-		{"resilience+trace", []RunOption{res, WithTrace(), WithObserver(NewMetricsObserver(NewMetricsRegistry()))}, false, true},
-		{"TA", []RunOption{WithAlgorithm("TA")}, false, true},
-		{"TA+adaptive", []RunOption{WithAlgorithm("TA"), WithAdaptive(5)}, false, true},
-		{"TA+approximation", []RunOption{WithAlgorithm("TA"), WithApproximation(0.2)}, false, false},
-		{"MPro+adaptive", []RunOption{WithAlgorithm("MPro"), WithAdaptive(5)}, false, true},
-		{"MPro+approximation", []RunOption{WithAlgorithm("MPro"), WithApproximation(0.2)}, false, false},
-		{"unknown algorithm", []RunOption{WithAlgorithm("bogus")}, false, false},
-		{"FA", []RunOption{WithAlgorithm("FA")}, true, true},
-		{"NRA+budget", []RunOption{WithAlgorithm("NRA"), WithBudget(1000)}, true, true},
-		{"CA+approximation", []RunOption{WithAlgorithm("CA"), WithApproximation(0.2)}, true, false},
-		{"parallel", []RunOption{WithParallel(2)}, true, true},
-		{"parallel+fixed", []RunOption{WithParallel(2), fixed}, true, true},
-		{"parallel+adaptive", []RunOption{WithParallel(2), WithAdaptive(5)}, true, false},
-		{"parallel+approximation", []RunOption{WithParallel(2), WithApproximation(0.2)}, true, false},
-		{"parallel+TA", []RunOption{WithParallel(2), WithAlgorithm("TA")}, true, false},
-		{"live", []RunOption{WithLive(2)}, true, true},
-		{"live+parallel", []RunOption{WithLive(2), WithParallel(2)}, true, false},
-		{"live+resilience", []RunOption{WithLive(2), res}, true, false},
-		{"live+approximation", []RunOption{WithLive(2), WithApproximation(0.2)}, true, false},
+		{"default", nil, false, true, nil},
+		{"fixed", []RunOption{fixed}, false, true, nil},
+		{"adaptive", []RunOption{WithAdaptive(5)}, false, true, nil},
+		{"adaptive+approximation", []RunOption{WithAdaptive(5), WithApproximation(0.2)}, false, true, nil},
+		{"fixed+adaptive+approximation", []RunOption{fixed, WithAdaptive(5), WithApproximation(0.2)}, false, true, nil},
+		{"approximation", []RunOption{WithApproximation(0.2)}, false, true, nil},
+		{"negative epsilon", []RunOption{WithApproximation(-1)}, false, false, nil},
+		{"budget", []RunOption{WithBudget(50)}, false, true, nil},
+		{"non-positive budget", []RunOption{WithBudget(0)}, false, false, nil},
+		{"resilience+trace", []RunOption{res, WithTrace(), WithObserver(NewMetricsObserver(NewMetricsRegistry()))}, false, true, nil},
+		{"TA", []RunOption{WithAlgorithm("TA")}, false, true, nil},
+		{"TA+adaptive", []RunOption{WithAlgorithm("TA"), WithAdaptive(5)}, false, true, nil},
+		{"TA+approximation", []RunOption{WithAlgorithm("TA"), WithApproximation(0.2)}, false, false, nil},
+		{"MPro+adaptive", []RunOption{WithAlgorithm("MPro"), WithAdaptive(5)}, false, true, nil},
+		{"MPro+approximation", []RunOption{WithAlgorithm("MPro"), WithApproximation(0.2)}, false, false, nil},
+		{"unknown algorithm", []RunOption{WithAlgorithm("bogus")}, false, false, nil},
+		{"FA", []RunOption{WithAlgorithm("FA")}, true, true, nil},
+		{"NRA+budget", []RunOption{WithAlgorithm("NRA"), WithBudget(1000)}, true, true, nil},
+		{"CA+approximation", []RunOption{WithAlgorithm("CA"), WithApproximation(0.2)}, true, false, nil},
+		{"parallel", []RunOption{WithParallel(2)}, true, true, nil},
+		{"parallel+fixed", []RunOption{WithParallel(2), fixed}, true, true, nil},
+		{"parallel+adaptive", []RunOption{WithParallel(2), WithAdaptive(5)}, true, false, nil},
+		{"parallel+approximation", []RunOption{WithParallel(2), WithApproximation(0.2)}, true, false, nil},
+		{"parallel+TA", []RunOption{WithParallel(2), WithAlgorithm("TA")}, true, false, nil},
+		{"live", []RunOption{WithLive(2)}, true, true, nil},
+		{"live+parallel", []RunOption{WithLive(2), WithParallel(2)}, true, false, nil},
+		{"live+resilience", []RunOption{WithLive(2), res}, true, true, nil},
+		{"live+shifts", []RunOption{WithLive(2)}, true, true, shifted},
+		{"live+approximation", []RunOption{WithLive(2), WithApproximation(0.2)}, true, false, nil},
 	}
 	q := Query{F: Min(), K: 4}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			eng := eng
+			if tc.eng != nil {
+				eng = tc.eng
+			}
 			_, runErr := eng.Run(q, tc.opts...)
 			if (runErr == nil) != tc.runOK {
 				t.Fatalf("Run: err = %v, want accepted = %v", runErr, tc.runOK)
